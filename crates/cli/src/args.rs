@@ -130,12 +130,6 @@ pub enum Command {
         /// Slow-query capture threshold in nanoseconds (0 captures every
         /// traced query).
         slow_threshold_ns: u64,
-        /// θ for the periodic watch query.
-        watch_theta: f64,
-        /// τ for the periodic watch query.
-        watch_tau: u64,
-        /// Milliseconds between watch queries (0 disables the watcher).
-        watch_every_ms: u64,
         /// Publish a query epoch every this many arrivals (`/query`
         /// answers from the latest published epoch).
         publish_every: u64,
@@ -491,12 +485,6 @@ where
             let flags = detector_flags(&mut o)?;
             let sample = o.optional_num("sample", 1u64)?;
             let slow_threshold_ns = o.optional_num("slow-threshold-ns", 10_000_000u64)?;
-            let watch_theta = o.optional_num("watch-theta", 10.0f64)?;
-            let watch_tau = o.optional_num("watch-tau", 86_400u64)?;
-            if watch_tau == 0 {
-                return Err(CliError::Usage("serve: --watch-tau must be positive".into()));
-            }
-            let watch_every_ms = o.optional_num("watch-every-ms", 500u64)?;
             let publish_every = o.optional_num("publish-every", 8_192u64)?;
             if publish_every == 0 {
                 return Err(CliError::Usage("serve: --publish-every must be positive".into()));
@@ -511,9 +499,6 @@ where
                 flags,
                 sample,
                 slow_threshold_ns,
-                watch_theta,
-                watch_tau,
-                watch_every_ms,
                 publish_every,
                 profile_every_ms,
                 ingest_delay_ms,
@@ -884,7 +869,6 @@ mod tests {
             flags,
             sample,
             slow_threshold_ns,
-            watch_every_ms,
             publish_every,
             profile_every_ms,
             ingest_delay_ms,
@@ -900,7 +884,6 @@ mod tests {
         assert_eq!(flags.shards, 1);
         assert_eq!(sample, 1);
         assert_eq!(slow_threshold_ns, 10_000_000);
-        assert_eq!(watch_every_ms, 500);
         assert_eq!(publish_every, 8_192);
         assert_eq!(profile_every_ms, 200);
         assert_eq!(ingest_delay_ms, 0);
@@ -921,30 +904,14 @@ mod tests {
             "8",
             "--slow-threshold-ns",
             "0",
-            "--watch-theta",
-            "2.5",
-            "--watch-tau",
-            "60",
-            "--watch-every-ms",
-            "50",
             "--publish-every",
             "1024",
         ]);
-        let Command::Serve {
-            flags,
-            sample,
-            slow_threshold_ns,
-            watch_theta,
-            watch_tau,
-            publish_every,
-            ..
-        } = c
-        else {
+        let Command::Serve { flags, sample, slow_threshold_ns, publish_every, .. } = c else {
             panic!("expected serve");
         };
         assert!(flags.flat && flags.shards == 4);
         assert_eq!((sample, slow_threshold_ns), (8, 0));
-        assert_eq!((watch_theta, watch_tau), (2.5, 60));
         assert_eq!(publish_every, 1024);
 
         // serve shares build/ingest's detector-flag validation
@@ -952,8 +919,6 @@ mod tests {
         assert!(e.contains("--universe"), "{e}");
         let e = parse(["serve", "--input", "s", "--variant", "pbe9"]).unwrap_err().to_string();
         assert!(e.contains("pbe1"), "{e}");
-        let e = parse(["serve", "--input", "s", "--watch-tau", "0"]).unwrap_err().to_string();
-        assert!(e.contains("positive"), "{e}");
         let e = parse(["serve", "--input", "s", "--publish-every", "0"]).unwrap_err().to_string();
         assert!(e.contains("positive"), "{e}");
     }

@@ -19,17 +19,6 @@ use crate::CliError;
 /// checkpoint.
 type AnySketch = AnyDetector;
 
-/// Runs one query through the scratch-reusing fast path. Each command
-/// owns a single [`QueryScratch`], so even multi-probe queries (series,
-/// bursty-events scans) stay off the per-probe allocator.
-fn run_query(
-    det: &AnySketch,
-    request: &QueryRequest,
-    scratch: &mut QueryScratch,
-) -> Result<QueryResponse, bed_core::BedError> {
-    det.queries().query_reusing(request, scratch)
-}
-
 fn bursty_time_ranges(
     det: &AnySketch,
     theta: f64,
@@ -51,55 +40,47 @@ fn mismatched() -> CliError {
     CliError::BadInput("internal: query response variant mismatch".into())
 }
 
-/// Appends a text-rendered metrics snapshot when `--metrics` was given.
-fn append_metrics(out: &mut String, det: &AnySketch, wanted: bool) {
-    if wanted {
+/// Runs one query command: loads the sketch, answers `request` through
+/// the scratch-reusing path (one [`QueryScratch`], so even multi-probe
+/// queries stay off the per-probe allocator; EXPLAIN arms its stage
+/// clocks), renders the response, then appends the `--explain` breakdown
+/// and the `--metrics` snapshot when asked. `render` returns `None` for a
+/// response variant it does not expect.
+fn query_command(
+    path: &str,
+    request: QueryRequest,
+    metrics: bool,
+    explain: bool,
+    render: impl FnOnce(QueryResponse) -> Option<String>,
+) -> Result<String, CliError> {
+    let det = load(path)?;
+    let mut scratch = QueryScratch::new();
+    scratch.explain = explain;
+    let started = std::time::Instant::now();
+    let response = det.queries().query_reusing(&request, &mut scratch)?;
+    let root_ns = started.elapsed().as_nanos() as u64;
+    let mut out = render(response).ok_or_else(mismatched)?;
+    if explain {
+        // Mirrors the `/query?explain=1` block in aligned text form.
+        let st = &scratch.stages;
+        let path = crate::serve::probe_path(st.bank_probes, st.scalar_probes);
+        out.push_str("\nexplain:\n");
+        writeln!(out, " root               {root_ns} ns").expect("string write");
+        writeln!(out, " cell probe         {} ns", st.cell_probe_ns).expect("string write");
+        writeln!(out, " median combine     {} ns", st.median_combine_ns).expect("string write");
+        writeln!(out, " hierarchy prune    {} ns", st.hierarchy_prune_ns).expect("string write");
+        writeln!(
+            out,
+            " probe path         {path} ({} bank / {} scalar probes)",
+            st.bank_probes, st.scalar_probes
+        )
+        .expect("string write");
+    }
+    if metrics {
         out.push_str("\nmetrics:\n");
         out.push_str(&det.queries().metrics().to_text());
     }
-}
-
-/// Appends the `--explain` breakdown: per-stage kernel nanoseconds
-/// harvested from the armed scratch, the probe path taken, and the total.
-/// Mirrors the `/query?explain=1` block in aligned text form.
-fn append_explain(out: &mut String, det: &AnySketch, scratch: &QueryScratch, root_ns: u64) {
-    let st = &scratch.stages;
-    let path = if st.bank_probes > 0 {
-        "soa bank"
-    } else if st.scalar_probes > 0 {
-        "scalar"
-    } else if det.soa_bank_bytes() > 0 {
-        "soa bank"
-    } else {
-        "scalar"
-    };
-    out.push_str("\nexplain:\n");
-    writeln!(out, " root               {root_ns} ns").expect("string write");
-    writeln!(out, " cell probe         {} ns", st.cell_probe_ns).expect("string write");
-    writeln!(out, " median combine     {} ns", st.median_combine_ns).expect("string write");
-    writeln!(out, " hierarchy prune    {} ns", st.hierarchy_prune_ns).expect("string write");
-    writeln!(
-        out,
-        " probe path         {path} ({} bank / {} scalar probes)",
-        st.bank_probes, st.scalar_probes
-    )
-    .expect("string write");
-}
-
-/// Runs `request` with EXPLAIN arming when asked: the scratch's explain
-/// flag makes the query layer arm stage timing and leave the populated
-/// accumulators for [`append_explain`] to harvest. Returns the response
-/// and the wall-clock nanoseconds of the whole query call.
-fn run_query_explained(
-    det: &AnySketch,
-    request: &QueryRequest,
-    scratch: &mut QueryScratch,
-    explain: bool,
-) -> Result<(QueryResponse, u64), bed_core::BedError> {
-    scratch.explain = explain;
-    let started = std::time::Instant::now();
-    let response = run_query(det, request, scratch)?;
-    Ok((response, started.elapsed().as_nanos() as u64))
+    Ok(out)
 }
 
 /// Executes a parsed command, returning its stdout text.
@@ -128,9 +109,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
             flags,
             sample,
             slow_threshold_ns,
-            watch_theta,
-            watch_tau,
-            watch_every_ms,
             publish_every,
             profile_every_ms,
             ingest_delay_ms,
@@ -142,9 +120,6 @@ pub fn execute(command: Command) -> Result<String, CliError> {
                 addr,
                 sample,
                 slow_threshold_ns,
-                watch_theta,
-                watch_tau,
-                watch_every_ms,
                 publish_every,
                 profile_every_ms,
                 ingest_delay_ms,
@@ -393,27 +368,23 @@ fn point(
     metrics: bool,
     explain: bool,
 ) -> Result<String, CliError> {
-    let det = load(path)?;
     let tau = BurstSpan::new(tau).map_err(bed_core::BedError::from)?;
     let request = QueryRequest::Point { event: EventId(event), t: Timestamp(t), tau };
-    let mut scratch = QueryScratch::new();
-    let (response, root_ns) = run_query_explained(&det, &request, &mut scratch, explain)?;
-    let QueryResponse::Point { burstiness: b, burst_frequency: bf, cumulative: f, tier } = response
-    else {
-        return Err(mismatched());
-    };
-    let mut out = format!(
-        "event {event} at t={t} (tau={}):\n burstiness  {b:.1}\n rate/span   {bf:.1}\n cumulative  {f:.1}\n",
-        tau.ticks()
-    );
-    if let Some(tier) = tier {
-        writeln!(out, " served by   retention tier {tier}").expect("string write");
-    }
-    if explain {
-        append_explain(&mut out, &det, &scratch, root_ns);
-    }
-    append_metrics(&mut out, &det, metrics);
-    Ok(out)
+    query_command(path, request, metrics, explain, |response| {
+        let QueryResponse::Point { burstiness: b, burst_frequency: bf, cumulative: f, tier } =
+            response
+        else {
+            return None;
+        };
+        let mut out = format!(
+            "event {event} at t={t} (tau={}):\n burstiness  {b:.1}\n rate/span   {bf:.1}\n cumulative  {f:.1}\n",
+            tau.ticks()
+        );
+        if let Some(tier) = tier {
+            writeln!(out, " served by   retention tier {tier}").expect("string write");
+        }
+        Some(out)
+    })
 }
 
 fn times(
@@ -425,7 +396,6 @@ fn times(
     metrics: bool,
     explain: bool,
 ) -> Result<String, CliError> {
-    let det = load(path)?;
     let tau = BurstSpan::new(tau).map_err(bed_core::BedError::from)?;
     let request = QueryRequest::BurstyTimes {
         event: EventId(event),
@@ -433,24 +403,20 @@ fn times(
         tau,
         horizon: Timestamp(horizon),
     };
-    let mut scratch = QueryScratch::new();
-    let (response, root_ns) = run_query_explained(&det, &request, &mut scratch, explain)?;
-    let QueryResponse::BurstyTimes(hits) = response else {
-        return Err(mismatched());
-    };
-    let mut out = format!(
-        "event {event}, theta={theta}, tau={}: {} bursty instants\n",
-        tau.ticks(),
-        hits.len()
-    );
-    for (t, b) in hits {
-        writeln!(out, "  t={}\tb={b:.1}", t.ticks()).expect("string write");
-    }
-    if explain {
-        append_explain(&mut out, &det, &scratch, root_ns);
-    }
-    append_metrics(&mut out, &det, metrics);
-    Ok(out)
+    query_command(path, request, metrics, explain, |response| {
+        let QueryResponse::BurstyTimes(hits) = response else {
+            return None;
+        };
+        let mut out = format!(
+            "event {event}, theta={theta}, tau={}: {} bursty instants\n",
+            tau.ticks(),
+            hits.len()
+        );
+        for (t, b) in hits {
+            writeln!(out, "  t={}\tb={b:.1}", t.ticks()).expect("string write");
+        }
+        Some(out)
+    })
 }
 
 fn events(
@@ -462,29 +428,25 @@ fn events(
     metrics: bool,
     explain: bool,
 ) -> Result<String, CliError> {
-    let det = load(path)?;
     let tau = BurstSpan::new(tau).map_err(bed_core::BedError::from)?;
     let strategy = if scan { QueryStrategy::ExactScan } else { QueryStrategy::Pruned };
     let request = QueryRequest::BurstyEvents { t: Timestamp(t), theta, tau, strategy };
-    let mut scratch = QueryScratch::new();
-    let (response, root_ns) = run_query_explained(&det, &request, &mut scratch, explain)?;
-    let QueryResponse::BurstyEvents { hits, stats } = response else {
-        return Err(mismatched());
-    };
-    let mut out = format!(
-        "t={t}, theta={theta}, tau={}: {} bursty events ({} probes)\n",
-        tau.ticks(),
-        hits.len(),
-        stats.point_queries
-    );
-    for h in hits {
-        writeln!(out, "  event {}\tb={:.1}", h.event.value(), h.burstiness).expect("string write");
-    }
-    if explain {
-        append_explain(&mut out, &det, &scratch, root_ns);
-    }
-    append_metrics(&mut out, &det, metrics);
-    Ok(out)
+    query_command(path, request, metrics, explain, |response| {
+        let QueryResponse::BurstyEvents { hits, stats } = response else {
+            return None;
+        };
+        let mut out = format!(
+            "t={t}, theta={theta}, tau={}: {} bursty events ({} probes)\n",
+            tau.ticks(),
+            hits.len(),
+            stats.point_queries
+        );
+        for h in hits {
+            writeln!(out, "  event {}\tb={:.1}", h.event.value(), h.burstiness)
+                .expect("string write");
+        }
+        Some(out)
+    })
 }
 
 fn ranges(path: &str, theta: f64, tau: u64, horizon: u64) -> Result<String, CliError> {
@@ -508,24 +470,19 @@ fn series(
     metrics: bool,
     explain: bool,
 ) -> Result<String, CliError> {
-    let det = load(path)?;
     let tau = BurstSpan::new(tau).map_err(bed_core::BedError::from)?;
     let range = bed_core::TimeRange { start: Timestamp(0), end: Timestamp(horizon) };
     let request = QueryRequest::Series { event: EventId(event), tau, range, step };
-    let mut scratch = QueryScratch::new();
-    let (response, root_ns) = run_query_explained(&det, &request, &mut scratch, explain)?;
-    let QueryResponse::Series(series) = response else {
-        return Err(mismatched());
-    };
-    let mut out = format!("event {event}, tau={}, step={step}:\n", tau.ticks());
-    for (t, b) in series {
-        writeln!(out, "{}\t{b:.1}", t.ticks()).expect("string write");
-    }
-    if explain {
-        append_explain(&mut out, &det, &scratch, root_ns);
-    }
-    append_metrics(&mut out, &det, metrics);
-    Ok(out)
+    query_command(path, request, metrics, explain, |response| {
+        let QueryResponse::Series(series) = response else {
+            return None;
+        };
+        let mut out = format!("event {event}, tau={}, step={step}:\n", tau.ticks());
+        for (t, b) in series {
+            writeln!(out, "{}\t{b:.1}", t.ticks()).expect("string write");
+        }
+        Some(out)
+    })
 }
 
 /// One blocking HTTP/1.1 GET against a running `bed serve`, returning

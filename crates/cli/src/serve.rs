@@ -32,9 +32,9 @@
 //!
 //! While the responder runs, a background thread drains the input TSV
 //! stream into the detector, publishing an epoch every `--publish-every`
-//! arrivals (plus a final publish once the stream is drained) and firing a
-//! periodic traced "watch" bursty-event query so the slow log and query
-//! metrics carry live content without an external client.
+//! arrivals (plus a final publish once the stream is drained). The epoch
+//! views count, time, and trace every `/query` they answer, so the query
+//! families on `/metrics`, `/trace`, and `/slow` describe served traffic.
 //!
 //! Each accepted connection is handled on its own scoped thread. That
 //! keeps a slow client from stalling other requests, and it is also the
@@ -91,12 +91,6 @@ pub(crate) struct ServeOptions {
     pub sample: u64,
     /// Slow-query capture threshold in ns (0 captures every traced query).
     pub slow_threshold_ns: u64,
-    /// θ of the periodic watch query.
-    pub watch_theta: f64,
-    /// τ of the periodic watch query.
-    pub watch_tau: u64,
-    /// Milliseconds between watch queries (0 disables the watcher).
-    pub watch_every_ms: u64,
     /// Publish a query epoch every this many arrivals.
     pub publish_every: u64,
     /// Milliseconds between self-profiler samples (0 disables the
@@ -267,8 +261,7 @@ fn accept_loop<'scope>(
 }
 
 /// Drains the stream into the detector in small locked chunks, publishing
-/// epochs at the configured cadence and firing the watch query between
-/// chunks and after the drain until shutdown.
+/// epochs at the configured cadence and once more after the drain.
 fn ingest_loop(
     els: &[(EventId, Timestamp)],
     ctx: &ServeCtx,
@@ -283,12 +276,8 @@ fn ingest_loop(
     while opts.ingest_delay_ms > 0 && Instant::now() < delay_until && !stop.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(5));
     }
-    let watch_period = Duration::from_millis(opts.watch_every_ms.max(1));
     let mut publisher =
         EpochPublisher::new(CheckpointPolicy { every_arrivals: opts.publish_every });
-    let mut scratch = QueryScratch::new();
-    let mut last_watch = Instant::now();
-    let mut last_ts = Timestamp(0);
     for chunk in els.chunks(CHUNK) {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -296,59 +285,19 @@ fn ingest_loop(
         {
             let mut d = ctx.det.lock().expect("detector lock");
             for &(event, ts) in chunk {
-                if d.ingest(event, ts).is_ok() {
-                    last_ts = ts;
-                }
+                let _ = d.ingest(event, ts);
             }
             // Publishing needs the detector stable, so it happens under the
             // same lock acquisition — readers stay wait-free regardless.
             publisher.maybe_publish(&d, &ctx.epochs);
         }
         ingested.fetch_add(chunk.len() as u64, Ordering::Relaxed);
-        if opts.watch_every_ms > 0 && last_watch.elapsed() >= watch_period {
-            watch_query(ctx, opts, last_ts, &mut scratch);
-            last_watch = Instant::now();
-        }
     }
-    {
-        let mut d = ctx.det.lock().expect("detector lock");
-        d.finalize();
-        // Unconditional final publish: once the drain completes, `/query`
-        // must answer from the full stream, not the last cadence boundary.
-        ctx.epochs.publish(&d);
-    }
-    if opts.watch_every_ms == 0 {
-        return;
-    }
-    // The stream is drained; keep the watch firing so scrapes see fresh
-    // latency samples (and `/slow` has content) until shutdown.
-    watch_query(ctx, opts, last_ts, &mut scratch);
-    last_watch = Instant::now();
-    while !stop.load(Ordering::SeqCst) {
-        std::thread::sleep(watch_period.min(Duration::from_millis(50)));
-        if last_watch.elapsed() >= watch_period {
-            watch_query(ctx, opts, last_ts, &mut scratch);
-            last_watch = Instant::now();
-        }
-    }
-}
-
-/// One traced bursty-event query at the newest ingested instant.
-/// Best-effort: single-event sketches reject it, which is fine — the
-/// point is to exercise the traced query path, not the answer.
-fn watch_query(ctx: &ServeCtx, opts: &ServeOptions, t: Timestamp, scratch: &mut QueryScratch) {
-    let Ok(tau) = BurstSpan::new(opts.watch_tau) else { return };
-    let request = QueryRequest::BurstyEvents {
-        t,
-        theta: opts.watch_theta,
-        tau,
-        strategy: QueryStrategy::Pruned,
-    };
-    // A fresh root id per watch round: sampled spans and the latency
-    // exemplars the watch feeds stay joinable from /metrics to /trace/<id>.
-    scratch.trace_id = ctx.tracer.next_trace_id().0;
-    let d = ctx.det.lock().expect("detector lock");
-    let _ = d.queries().query_reusing(&request, scratch);
+    let mut d = ctx.det.lock().expect("detector lock");
+    d.finalize();
+    // Unconditional final publish: once the drain completes, `/query`
+    // must answer from the full stream, not the last cadence boundary.
+    ctx.epochs.publish(&d);
 }
 
 /// Samples the cumulative per-stage counters into the self-profiler at a
@@ -497,31 +446,19 @@ fn query_route(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, St
     let explain = field_flag(&fields, "explain");
     // A view per connection: each handler thread gets its own cursors and
     // scratch, so concurrent queries never contend with each other (or
-    // with ingest — the epoch read path is lock-free).
+    // with ingest — the epoch read path is lock-free). The view arms the
+    // stage clocks for EXPLAIN and leaves them populated for the block.
     let view = ctx.epochs.view();
     let mut scratch = QueryScratch::new();
     scratch.trace_id = trace_id;
     scratch.explain = explain;
-    if explain {
-        // Arm stage timing here: the bursty-event fan-out probes shard
-        // epochs directly (no per-shard tracing root to arm it), and the
-        // per-event paths re-arm on entry anyway.
-        scratch.stages.reset(true);
-    }
     let started = Instant::now();
     let result = view.query_reusing(&request, &mut scratch);
     let root_ns = started.elapsed().as_nanos() as u64;
     match result {
         Ok(response) => {
             let explain_block = explain.then(|| {
-                render_explain(
-                    &request,
-                    &response,
-                    &scratch,
-                    root_ns,
-                    ctx,
-                    view.answer_generation(),
-                )
+                render_explain(&request, &response, &scratch, root_ns, view.answer_generation())
             });
             (
                 "200 OK",
@@ -574,23 +511,11 @@ fn render_explain(
     response: &QueryResponse,
     scratch: &QueryScratch,
     root_ns: u64,
-    ctx: &ServeCtx,
     generation: u64,
 ) -> String {
     use std::fmt::Write as _;
     let st = &scratch.stages;
-    // Which probe kernel answered: the stage counters say so directly for
-    // the sweep kinds; point probes bypass the counters, so fall back to
-    // whether the published epochs carry SoA banks at all.
-    let path = if st.bank_probes > 0 {
-        "bank"
-    } else if st.scalar_probes > 0 {
-        "scalar"
-    } else if ctx.epochs.bank_bytes() > 0 {
-        "bank"
-    } else {
-        "scalar"
-    };
+    let path = probe_path(st.bank_probes, st.scalar_probes);
     let mut out = String::with_capacity(256);
     let _ = write!(
         out,
@@ -615,6 +540,17 @@ fn render_explain(
     }
     let _ = write!(out, ",\"generation\":{generation}}}");
     out
+}
+
+/// The probe kernel that answered, read off the stage counters: `bank`
+/// when any probe rode the SoA bank, `scalar` when only per-cell probes
+/// ran, `none` when the answer needed no probe at all.
+pub(crate) fn probe_path(bank_probes: u64, scalar_probes: u64) -> &'static str {
+    match (bank_probes, scalar_probes) {
+        (0, 0) => "none",
+        (0, _) => "scalar",
+        _ => "bank",
+    }
 }
 
 fn bad_request(message: &str) -> (&'static str, &'static str, String) {
@@ -973,14 +909,11 @@ mod tests {
         }
     }
 
-    fn opts(publish_every: u64, watch_every_ms: u64) -> ServeOptions {
+    fn opts(publish_every: u64) -> ServeOptions {
         ServeOptions {
             addr: "127.0.0.1:0".into(),
             sample: 1,
             slow_threshold_ns: 0,
-            watch_theta: 1.0,
-            watch_tau: 40,
-            watch_every_ms,
             publish_every,
             profile_every_ms: 20,
             ingest_delay_ms: 0,
@@ -1005,7 +938,9 @@ mod tests {
     }
 
     /// Runs `serve_until` on a scoped thread and hands the bound address
-    /// to `check`; flips the stop flag afterwards and returns the summary.
+    /// to `check`; flips the stop flag afterwards — also when `check`
+    /// panics, so a failed assertion fails the test instead of leaving the
+    /// scope waiting on a live server — and returns the summary.
     fn with_server(
         input: &str,
         flags: &DetectorFlags,
@@ -1018,8 +953,11 @@ mod tests {
             let handle = scope
                 .spawn(|| serve_until(input, flags, opts, &stop, |addr| tx.send(addr).unwrap()));
             let addr = rx.recv().unwrap();
-            check(addr);
+            let checked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| check(addr)));
             stop.store(true, Ordering::SeqCst);
+            if let Err(panic) = checked {
+                std::panic::resume_unwind(panic);
+            }
             handle.join().unwrap().unwrap()
         })
     }
@@ -1027,7 +965,7 @@ mod tests {
     #[test]
     fn serve_answers_metrics_healthz_and_slow_while_ingesting() {
         let input = fixture("serve.tsv");
-        let summary = with_server(&input, &flags(1), &opts(128, 10), |addr| {
+        let summary = with_server(&input, &flags(1), &opts(128), |addr| {
             // Liveness is unconditional; health joins it once ready.
             let (head, body) = get(addr, "/livez");
             assert!(head.starts_with("HTTP/1.1 200"), "{head}");
@@ -1061,30 +999,16 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(25));
             }
 
-            // The watch query is traced (sample=1), so the span ring has
-            // content for /trace/recent.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let (head, lines) = get(addr, "/trace/recent");
-                assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-                if lines.contains("query.bursty_events") {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "no spans recorded: {lines}");
-                std::thread::sleep(Duration::from_millis(25));
-            }
-
-            // Threshold 0 captures every traced query, so the watch query
-            // must land in the slow log shortly.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let (_, slow) = get(addr, "/slow");
-                if slow.contains("query.bursty_events") {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "no slow query captured: {slow}");
-                std::thread::sleep(Duration::from_millis(25));
-            }
+            // Served queries are traced (sample=1) before the answer is
+            // written, so the span ring and — threshold 0 — the slow log
+            // hold the bursty-event query as soon as it returns.
+            let (head, body) = get(addr, "/query?kind=bursty_events&t=299&theta=1&tau=40");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head} {body}");
+            let (head, lines) = get(addr, "/trace/recent");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert!(lines.contains("query.bursty_events"), "no spans recorded: {lines}");
+            let (_, slow) = get(addr, "/slow");
+            assert!(slow.contains("query.bursty_events"), "no slow query captured: {slow}");
 
             let (head, _) = get(addr, "/nope");
             assert!(head.starts_with("HTTP/1.1 404"), "{head}");
@@ -1098,24 +1022,15 @@ mod tests {
     fn query_answers_all_five_kinds_from_published_epochs() {
         let input = fixture("serve-query.tsv");
         // Two shards: /query must fan out coherently, not just read one cell.
-        with_server(&input, &flags(2), &opts(256, 0), |addr| {
+        with_server(&input, &flags(2), &opts(256), |addr| {
             wait_ready(addr);
-            // Wait for the post-drain publish: its epoch covers the full
-            // stream (300 base + 50×6 burst arrivals).
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let (head, body) = get(addr, "/query?kind=point&event=2&t=299&tau=40");
-                assert!(head.starts_with("HTTP/1.1 200"), "{head} {body}");
-                assert!(body.contains("\"kind\":\"point\""), "{body}");
-                assert!(body.contains("\"trace_id\":\""), "{body}");
-                assert!(body.contains("\"epoch\":{\"generation\":"), "{body}");
-                if body.contains("\"arrivals\":600") {
-                    assert!(body.contains("\"last_ts\":299"), "{body}");
-                    break;
-                }
-                assert!(Instant::now() < deadline, "drain publish never arrived: {body}");
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            wait_drained(addr);
+            let (head, body) = get(addr, "/query?kind=point&event=2&t=299&tau=40");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head} {body}");
+            assert!(body.contains("\"kind\":\"point\""), "{body}");
+            assert!(body.contains("\"trace_id\":\""), "{body}");
+            assert!(body.contains("\"epoch\":{\"generation\":"), "{body}");
+            assert!(body.contains("\"last_ts\":299"), "{body}");
 
             let (head, body) =
                 get(addr, "/query?kind=bursty_times&event=2&theta=20&tau=40&horizon=299");
@@ -1148,7 +1063,7 @@ mod tests {
     #[test]
     fn query_rejects_bad_requests_with_typed_errors() {
         let input = fixture("serve-errors.tsv");
-        with_server(&input, &flags(1), &opts(8_192, 0), |addr| {
+        with_server(&input, &flags(1), &opts(8_192), |addr| {
             wait_ready(addr);
             // Malformed JSON body.
             let (head, body) = post(addr, "/query", "{\"kind\":");
@@ -1218,7 +1133,7 @@ mod tests {
     #[test]
     fn serve_rejects_non_get_and_survives_garbage() {
         let input = fixture("serve-bad.tsv");
-        with_server(&input, &flags(1), &opts(8_192, 0), |addr| {
+        with_server(&input, &flags(1), &opts(8_192), |addr| {
             // DELETE on a known path is refused but answered.
             let mut s = TcpStream::connect(addr).unwrap();
             write!(s, "DELETE /metrics HTTP/1.1\r\nHost: bed\r\n\r\n").unwrap();
@@ -1239,7 +1154,7 @@ mod tests {
     fn in_flight_response_finishes_after_shutdown_request() {
         let input = fixture("serve-shutdown.tsv");
         let stop = AtomicBool::new(false);
-        let o = opts(8_192, 0);
+        let o = opts(8_192);
         let f = flags(1);
         let (tx, rx) = mpsc::channel();
         std::thread::scope(|scope| {
@@ -1286,7 +1201,7 @@ mod tests {
     #[test]
     fn readiness_gates_query_until_genesis() {
         let input = fixture("serve-ready.tsv");
-        let mut o = opts(128, 0);
+        let mut o = opts(128);
         // Hold ingest back so the pre-genesis state is observable.
         o.ingest_delay_ms = 600;
         with_server(&input, &flags(1), &o, |addr| {
@@ -1320,7 +1235,7 @@ mod tests {
     #[test]
     fn state_dir_probe_feeds_readiness() {
         let input = fixture("serve-statedir.tsv");
-        let mut o = opts(128, 0);
+        let mut o = opts(128);
         o.state_dir = Some("/nonexistent/bed-serve-state".into());
         with_server(&input, &flags(1), &o, |addr| {
             // Even once the epoch publishes, an unwritable state dir keeps
@@ -1344,7 +1259,7 @@ mod tests {
     fn client_trace_id_propagates_to_spans_and_tree() {
         let input = fixture("serve-trace.tsv");
         // sample=1: every query is traced into the ring.
-        with_server(&input, &flags(1), &opts(128, 0), |addr| {
+        with_server(&input, &flags(1), &opts(128), |addr| {
             wait_ready(addr);
             let (head, body) = get(addr, "/query?kind=point&event=2&t=200&tau=40&trace_id=abc123");
             assert!(head.starts_with("HTTP/1.1 200"), "{head} {body}");
@@ -1374,18 +1289,9 @@ mod tests {
     #[test]
     fn explain_reports_stages_path_and_epoch() {
         let input = fixture("serve-explain.tsv");
-        with_server(&input, &flags(2), &opts(256, 0), |addr| {
+        with_server(&input, &flags(2), &opts(256), |addr| {
             wait_ready(addr);
-            // Wait for the drain publish so answers cover the burst.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                let (_, body) = get(addr, "/query?kind=point&event=2&t=299&tau=40");
-                if body.contains("\"arrivals\":600") {
-                    break;
-                }
-                assert!(Instant::now() < deadline, "drain publish never arrived: {body}");
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            wait_drained(addr);
 
             let (head, body) =
                 get(addr, "/query?kind=bursty_events&t=299&theta=20&tau=40&explain=1");
@@ -1408,9 +1314,75 @@ mod tests {
             assert!(body.contains("\"explain\":{"), "{body}");
             assert!(body.contains("\"tier\":"), "{body}");
 
+            // Series probes are clocked too, and the probe counters (not a
+            // guess) name the banked path they took.
+            let (_, body) =
+                get(addr, "/query?kind=series&event=2&end=299&step=50&tau=40&explain=1");
+            assert!(json_u64(&body, "cell_probe_ns") > 0, "{body}");
+            assert!(json_u64(&body, "bank") > 0, "{body}");
+            assert!(body.contains("\"path\":\"bank\""), "{body}");
+
             // explain=0 and absence both skip the block.
             let (_, body) = get(addr, "/query?kind=point&event=2&t=299&tau=40&explain=0");
             assert!(!body.contains("\"explain\""), "{body}");
         });
+    }
+
+    /// Reads `name`'s sample value from an OpenMetrics scrape (0 when the
+    /// family is absent).
+    fn metric_value(scrape: &str, name: &str) -> u64 {
+        scrape
+            .lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+            .map_or(0, |v| v.parse().unwrap_or_else(|_| panic!("bad {name}: {v}")))
+    }
+
+    /// Waits for the post-drain publish, whose epoch covers the fixture's
+    /// full stream (300 base + 50×6 burst arrivals).
+    fn wait_drained(addr: SocketAddr) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let (_, body) = get(addr, "/query?kind=point&event=2&t=299&tau=40");
+            if body.contains("\"arrivals\":600") {
+                return;
+            }
+            assert!(Instant::now() < deadline, "drain publish never arrived: {body}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn served_queries_are_counted_and_traced_on_every_layout() {
+        let input = fixture("serve-served.tsv");
+        let queries = [
+            ("point", "kind=point&event=2&t=299&tau=40"),
+            ("bursty_times", "kind=bursty_times&event=2&theta=20&tau=40&horizon=299"),
+            ("bursty_events", "kind=bursty_events&t=299&theta=20&tau=40"),
+            ("series", "kind=series&event=2&end=299&step=50&tau=40"),
+            ("top_k", "kind=top_k&event=2&k=3&tau=40&horizon=299"),
+        ];
+        const N: u64 = 3;
+        for shards in [1, 2] {
+            with_server(&input, &flags(shards), &opts(256), |addr| {
+                wait_ready(addr);
+                wait_drained(addr);
+                for (kind, params) in queries {
+                    let family = format!("bed_query_{kind}_latency_ns_count");
+                    let before = metric_value(&get(addr, "/metrics").1, &family);
+                    for _ in 0..N {
+                        let (head, body) = get(addr, &format!("/query?{params}"));
+                        assert!(head.starts_with("HTTP/1.1 200"), "{head} {body}");
+                        // sample=1: the answer's id resolves to exactly one
+                        // root span of this kind.
+                        let at = body.find("\"trace_id\":\"").unwrap() + 12;
+                        let (_, tree) = get(addr, &format!("/trace/{}", &body[at..at + 16]));
+                        assert_eq!(tree.matches("\"name\":\"query.").count(), 1, "{tree}");
+                        assert!(tree.contains(&format!("\"name\":\"query.{kind}\"")), "{tree}");
+                    }
+                    let after = metric_value(&get(addr, "/metrics").1, &family);
+                    assert_eq!(after - before, N, "{family} with {shards} shard(s)");
+                }
+            });
+        }
     }
 }

@@ -34,8 +34,6 @@ fn sigterm_mid_request_finishes_the_response() {
             "8",
             "--addr",
             "127.0.0.1:0",
-            "--watch-every-ms",
-            "0",
             "--publish-every",
             "128",
         ])

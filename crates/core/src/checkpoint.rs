@@ -169,15 +169,6 @@ impl AnyDetector {
             AnyDetector::Sharded(d) => d.watermark(),
         }
     }
-
-    /// Resident bytes of the struct-of-arrays probe banks (0 until
-    /// finalized — names which probe path queries take).
-    pub fn soa_bank_bytes(&self) -> usize {
-        match self {
-            AnyDetector::Plain(d) => d.soa_bank_bytes(),
-            AnyDetector::Sharded(d) => d.soa_bank_bytes(),
-        }
-    }
 }
 
 /// An [`AnyDetector`] feeds anywhere a detector does — pipelines,

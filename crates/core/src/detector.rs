@@ -1,10 +1,10 @@
 //! The [`BurstDetector`] facade.
 
-use bed_hierarchy::query::{bursty_times_over, bursty_times_single};
+use bed_hierarchy::query::bursty_times_single;
 use bed_hierarchy::{BurstyEventHit, DyadicCmPbe, QueryStats};
 use bed_obs::{MetricsSnapshot, Tracer};
 use bed_pbe::CurveSketch;
-use bed_sketch::{CmPbe, QueryScratch};
+use bed_sketch::{Clock, CmPbe, NoClock, QueryScratch, StageClock, StageTimings};
 use bed_stream::{BurstSpan, EventId, StreamError, Timestamp};
 
 use crate::cell::PbeCell;
@@ -26,6 +26,34 @@ enum Backend {
     Flat(CmPbe<PbeCell>),
     /// Per-level CM-PBEs over the dyadic decomposition (Section V).
     Hierarchical(DyadicCmPbe<PbeCell>),
+}
+
+/// What answers a per-event probe (see [`Backend::leaf`]).
+enum Leaf<'a> {
+    /// The single event stream's PBE.
+    Single(&'a PbeCell),
+    /// The grid whose cells hold each event's curve.
+    Grid(&'a CmPbe<PbeCell>),
+}
+
+impl Backend {
+    /// The structure answering per-event probes: the single PBE, or the
+    /// flat grid, or the hierarchy's leaf level — the levels above only
+    /// serve the pruned bursty-event search, so the forest's per-event
+    /// estimates *are* its leaf grid's.
+    fn leaf(&self) -> Leaf<'_> {
+        match self {
+            Backend::Single(pbe) => Leaf::Single(pbe),
+            Backend::Flat(grid) => Leaf::Grid(grid),
+            Backend::Hierarchical(forest) => Leaf::Grid(forest.grid(0)),
+        }
+    }
+}
+
+/// Eq. 2's burstiness from the three fused probes.
+#[inline]
+fn burstiness([f0, f1, f2]: [f64; 3]) -> f64 {
+    f0 - 2.0 * f1 + f2
 }
 
 /// Historical burstiness detector: ingest a stream once, then ask *point*,
@@ -195,30 +223,60 @@ impl BurstDetector {
         self.metrics.finalize_end(started);
     }
 
+    /// The three Eq. 2 probes `[F̃_e(t), F̃_e(t−τ), F̃_e(t−2τ)]` of one
+    /// event in one fused probe — burstiness, burst frequency and the
+    /// cumulative count all derive from them. The probe is timed into
+    /// `stages` while its clocks are armed.
+    fn probe3(
+        &self,
+        event: EventId,
+        t: Timestamp,
+        tau: BurstSpan,
+        stages: &mut StageTimings,
+    ) -> [f64; 3] {
+        if stages.enabled {
+            self.probe3_with::<StageClock>(event, t, tau, stages)
+        } else {
+            self.probe3_with::<NoClock>(event, t, tau, stages)
+        }
+    }
+
+    fn probe3_with<C: Clock>(
+        &self,
+        event: EventId,
+        t: Timestamp,
+        tau: BurstSpan,
+        stages: &mut StageTimings,
+    ) -> [f64; 3] {
+        match self.backend.leaf() {
+            Leaf::Single(pbe) => {
+                let started = C::TIMED.then(std::time::Instant::now);
+                let f = pbe.probe3(t, tau);
+                stages.probed(started, false, 3);
+                f
+            }
+            Leaf::Grid(grid) => grid.probe3_with::<C>(event, t, tau, stages),
+        }
+    }
+
     /// POINT QUERY `q(e, t, τ)`: estimated burstiness `b̃_e(t)`.
     pub fn point_query(&self, event: EventId, t: Timestamp, tau: BurstSpan) -> f64 {
-        match &self.backend {
-            Backend::Single(pbe) => pbe.estimate_burstiness(t, tau),
-            Backend::Flat(grid) => grid.estimate_burstiness(event, t, tau),
-            Backend::Hierarchical(forest) => forest.estimate_burstiness(event, t, tau),
-        }
+        burstiness(self.probe3(event, t, tau, &mut StageTimings::default()))
     }
 
     /// Estimated cumulative frequency `F̃_e(t)`.
     pub fn cumulative_frequency(&self, event: EventId, t: Timestamp) -> f64 {
-        match &self.backend {
-            Backend::Single(pbe) => pbe.estimate_cum(t),
-            Backend::Flat(grid) => grid.estimate_cum(event, t),
-            Backend::Hierarchical(forest) => forest.estimate_cum(event, t),
+        match self.backend.leaf() {
+            Leaf::Single(pbe) => pbe.estimate_cum(t),
+            Leaf::Grid(grid) => grid.estimate_cum(event, t),
         }
     }
 
     /// Estimated incoming rate `b̃f_e(t)`.
     pub fn burst_frequency(&self, event: EventId, t: Timestamp, tau: BurstSpan) -> f64 {
-        match &self.backend {
-            Backend::Single(pbe) => pbe.estimate_burst_frequency(t, tau),
-            Backend::Flat(grid) => grid.estimate_burst_frequency(event, t, tau),
-            Backend::Hierarchical(forest) => forest.grid(0).estimate_burst_frequency(event, t, tau),
+        match self.backend.leaf() {
+            Leaf::Single(pbe) => pbe.estimate_burst_frequency(t, tau),
+            Leaf::Grid(grid) => grid.estimate_burst_frequency(event, t, tau),
         }
     }
 
@@ -231,11 +289,7 @@ impl BurstDetector {
         tau: BurstSpan,
         horizon: Timestamp,
     ) -> Vec<(Timestamp, f64)> {
-        match &self.backend {
-            Backend::Single(pbe) => bursty_times_single(pbe, theta, tau, horizon),
-            Backend::Flat(grid) => bursty_times_over(grid, event, theta, tau, horizon),
-            Backend::Hierarchical(forest) => forest.bursty_times(event, theta, tau, horizon),
-        }
+        self.bursty_times_reusing(event, theta, tau, horizon, &mut QueryScratch::new())
     }
 
     /// [`Self::bursty_times`] with caller-provided scratch for the fused
@@ -249,16 +303,11 @@ impl BurstDetector {
         horizon: Timestamp,
         scratch: &mut QueryScratch,
     ) -> Vec<(Timestamp, f64)> {
-        match &self.backend {
-            Backend::Single(pbe) => bursty_times_single(pbe, theta, tau, horizon),
-            Backend::Flat(grid) => {
+        match self.backend.leaf() {
+            Leaf::Single(pbe) => bursty_times_single(pbe, theta, tau, horizon),
+            Leaf::Grid(grid) => {
                 let mut out = Vec::new();
                 grid.bursty_times_into(event, theta, tau, horizon, scratch, &mut out);
-                out
-            }
-            Backend::Hierarchical(forest) => {
-                let mut out = Vec::new();
-                forest.grid(0).bursty_times_into(event, theta, tau, horizon, scratch, &mut out);
                 out
             }
         }
@@ -314,32 +363,7 @@ impl BurstDetector {
         strategy: QueryStrategy,
         scratch: &mut QueryScratch,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        check_theta_positive(theta)?;
-        let (mut hits, stats) = match (&self.backend, strategy) {
-            (Backend::Single(_), _) => {
-                return Err(BedError::WrongMode {
-                    operation: "bursty_events",
-                    built_for: "a single event stream",
-                })
-            }
-            // A flat detector has no hierarchy to prune: both strategies
-            // scan, keeping Pruned usable as the universal default.
-            (Backend::Flat(_), _) => self.scan_range(0, u32::MAX, t, theta, tau, scratch),
-            (Backend::Hierarchical(forest), QueryStrategy::Pruned) => {
-                let t0 = scratch.stages.enabled.then(std::time::Instant::now);
-                let r = forest.bursty_events(t, theta, tau);
-                if let Some(t0) = t0 {
-                    scratch.stages.hierarchy_prune_ns += t0.elapsed().as_nanos() as u64;
-                }
-                r
-            }
-            (Backend::Hierarchical(forest), QueryStrategy::ExactScan) => {
-                forest.bursty_events_scan_reusing(t, theta, tau, scratch)
-            }
-        };
-        sort_hits(&mut hits);
-        self.metrics.record_query_stats(&stats);
-        Ok((hits, stats))
+        self.event_set(None, t, theta, tau, strategy, scratch)
     }
 
     /// BURSTY EVENT QUERY restricted to event ids `[lo, hi)`.
@@ -359,17 +383,18 @@ impl BurstDetector {
         tau: BurstSpan,
         strategy: QueryStrategy,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        let mut scratch = QueryScratch::new();
-        self.bursty_events_in_range_with_reusing(lo, hi, t, theta, tau, strategy, &mut scratch)
+        self.event_set(Some((lo, hi)), t, theta, tau, strategy, &mut QueryScratch::new())
     }
 
-    /// [`Self::bursty_events_in_range_with`] with caller-provided scratch
-    /// for the batched scan kernel's working memory (identical results).
-    #[allow(clippy::too_many_arguments)]
-    pub fn bursty_events_in_range_with_reusing(
+    /// The bursty-event search over the whole universe (`range = None`) or
+    /// the ids `[lo, hi)`: the hierarchy's pruned search when asked for and
+    /// built, the leaf grid's batched scan otherwise. A flat detector scans
+    /// the whole universe under either strategy, keeping
+    /// [`QueryStrategy::Pruned`] usable as the universal default, but has
+    /// no hierarchy to prune a range with.
+    fn event_set(
         &self,
-        lo: u32,
-        hi: u32,
+        range: Option<(u32, u32)>,
         t: Timestamp,
         theta: f64,
         tau: BurstSpan,
@@ -377,6 +402,7 @@ impl BurstDetector {
         scratch: &mut QueryScratch,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
         check_theta_positive(theta)?;
+        let (lo, hi) = range.unwrap_or((0, u32::MAX));
         if lo >= hi {
             return Err(StreamError::InvertedRange {
                 start: Timestamp(lo as u64),
@@ -387,20 +413,21 @@ impl BurstDetector {
         let (mut hits, stats) = match (&self.backend, strategy) {
             (Backend::Single(_), _) => {
                 return Err(BedError::WrongMode {
-                    operation: "bursty_events_in_range",
+                    operation: if range.is_some() {
+                        "bursty_events_in_range"
+                    } else {
+                        "bursty_events"
+                    },
                     built_for: "a single event stream",
                 })
             }
             (Backend::Hierarchical(forest), QueryStrategy::Pruned) => {
-                let t0 = scratch.stages.enabled.then(std::time::Instant::now);
-                let r = forest.bursty_events_in_range(lo, hi, t, theta, tau);
-                if let Some(t0) = t0 {
-                    scratch.stages.hierarchy_prune_ns += t0.elapsed().as_nanos() as u64;
-                }
-                r
+                forest.bursty_events_staged(lo, hi, t, theta, tau, &mut scratch.stages)
             }
-            (_, QueryStrategy::ExactScan) => self.scan_range(lo, hi, t, theta, tau, scratch),
-            (Backend::Flat(_), QueryStrategy::Pruned) => return Err(BedError::HierarchyDisabled),
+            (Backend::Flat(_), QueryStrategy::Pruned) if range.is_some() => {
+                return Err(BedError::HierarchyDisabled)
+            }
+            _ => self.scan_range(lo, hi, t, theta, tau, scratch),
         };
         sort_hits(&mut hits);
         self.metrics.record_query_stats(&stats);
@@ -424,13 +451,8 @@ impl BurstDetector {
         let k = self.config.universe.expect("mixed mode implies a universe");
         let mut hits = Vec::new();
         let mut stats = QueryStats::default();
-        let grid = match &self.backend {
-            Backend::Flat(grid) => grid,
-            // The forest's per-event estimate IS the leaf grid's estimate
-            // (levels above only serve the pruned search), so scanning the
-            // leaf grid directly is bit-identical.
-            Backend::Hierarchical(forest) => forest.grid(0),
-            Backend::Single(_) => unreachable!("scan_range requires a universe"),
+        let Leaf::Grid(grid) = self.backend.leaf() else {
+            unreachable!("scan_range requires a universe")
         };
         grid.burstiness_scan_into(lo, hi.min(k), t, tau, scratch, |event, b| {
             stats.point_queries += 1;
@@ -440,47 +462,6 @@ impl BurstDetector {
             }
         });
         (hits, stats)
-    }
-
-    /// BURSTY EVENT QUERY with the default pruned strategy.
-    #[deprecated(since = "0.1.0", note = "use bursty_events_with(t, θ, τ, QueryStrategy::Pruned)")]
-    pub fn bursty_events(
-        &self,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.bursty_events_with(t, theta, tau, QueryStrategy::Pruned)
-    }
-
-    /// BURSTY EVENT QUERY via exhaustive scan.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use bursty_events_with(t, θ, τ, QueryStrategy::ExactScan)"
-    )]
-    pub fn bursty_events_scan(
-        &self,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.bursty_events_with(t, theta, tau, QueryStrategy::ExactScan)
-    }
-
-    /// Range-restricted BURSTY EVENT QUERY with the pruned strategy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use bursty_events_in_range_with(lo, hi, t, θ, τ, QueryStrategy::Pruned)"
-    )]
-    pub fn bursty_events_in_range(
-        &self,
-        lo: u32,
-        hi: u32,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.bursty_events_in_range_with(lo, hi, t, theta, tau, QueryStrategy::Pruned)
     }
 
     /// Estimated burstiness time series of one event, sampled every `step`
@@ -496,11 +477,24 @@ impl BurstDetector {
         range: bed_stream::TimeRange,
         step: u64,
     ) -> Vec<(Timestamp, f64)> {
+        self.series(event, tau, range, step, &mut StageTimings::default())
+    }
+
+    /// [`Self::burstiness_series`] with its probes timed into `stages`
+    /// while armed.
+    fn series(
+        &self,
+        event: EventId,
+        tau: BurstSpan,
+        range: bed_stream::TimeRange,
+        step: u64,
+        stages: &mut StageTimings,
+    ) -> Vec<(Timestamp, f64)> {
         let step = step.max(1);
         let mut out = Vec::new();
         let mut t = range.start.ticks();
         while t <= range.end.ticks() {
-            out.push((Timestamp(t), self.point_query(event, Timestamp(t), tau)));
+            out.push((Timestamp(t), burstiness(self.probe3(event, Timestamp(t), tau, stages))));
             t += step;
         }
         out
@@ -701,8 +695,10 @@ impl BurstDetector {
 
     /// Routes one [`QueryRequest`] (validation already uniform per the
     /// [`BurstQueries`] contract), threading `scratch` through the fused
-    /// kernels.
-    fn dispatch(
+    /// kernels. Uninstrumented: the outermost query layer counts and
+    /// traces (see [`crate::observe`]), so shards and published epochs
+    /// answer through this directly.
+    pub(crate) fn dispatch(
         &self,
         request: &QueryRequest,
         scratch: &mut QueryScratch,
@@ -718,27 +714,11 @@ impl BurstDetector {
                     self.metrics.count_tier_query(tier);
                     tier
                 });
-                // With the stage clocks armed (traced or EXPLAIN), the
-                // burstiness estimate runs through the stage-aware probe
-                // kernel — same value, with per-phase timings recorded.
-                let burstiness =
-                    if scratch.stages.enabled {
-                        match &self.backend {
-                            Backend::Single(pbe) => pbe.estimate_burstiness(t, tau),
-                            Backend::Flat(grid) => {
-                                grid.estimate_burstiness_stages(event, t, tau, &mut scratch.stages)
-                            }
-                            Backend::Hierarchical(forest) => forest
-                                .grid(0)
-                                .estimate_burstiness_stages(event, t, tau, &mut scratch.stages),
-                        }
-                    } else {
-                        self.point_query(event, t, tau)
-                    };
+                let f = self.probe3(event, t, tau, &mut scratch.stages);
                 Ok(QueryResponse::Point {
-                    burstiness,
-                    burst_frequency: self.burst_frequency(event, t, tau),
-                    cumulative: self.cumulative_frequency(event, t),
+                    burstiness: burstiness(f),
+                    burst_frequency: f[0] - f[1],
+                    cumulative: f[0],
                     tier,
                 })
             }
@@ -758,7 +738,7 @@ impl BurstDetector {
                 self.check_event(event)?;
                 check_range(range)?;
                 check_step(step)?;
-                Ok(QueryResponse::Series(self.burstiness_series(event, tau, range, step)))
+                Ok(QueryResponse::Series(self.series(event, tau, range, step, &mut scratch.stages)))
             }
             QueryRequest::TopK { event, k, tau, horizon } => {
                 self.check_event(event)?;
@@ -779,29 +759,9 @@ impl BurstQueries for BurstDetector {
         request: &QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<QueryResponse, BedError> {
-        let kind = request.kind();
-        let started = self.metrics.query_begin(kind);
-        let trace = self.metrics.trace_query(kind, scratch.trace_id);
-        // Arm the scratch stage clocks when this call owns the root span or
-        // the caller asked for EXPLAIN; leave them alone when an outer
-        // facade (sharded fan-out) armed them, so the facade can harvest
-        // our kernels' timings.
-        if trace.is_some() || scratch.explain {
-            scratch.stages.reset(true);
-        } else if !scratch.stages.enabled {
-            scratch.stages.reset(false);
-        }
-        let result = self.dispatch(request, scratch);
-        if let Some(trace) = trace {
-            crate::observe::finish_query_trace(trace, scratch, request);
-            // In EXPLAIN mode the serving layer harvests the populated
-            // timings after we return; only disarm when it will not.
-            if !scratch.explain {
-                scratch.stages.reset(false);
-            }
-        }
-        self.metrics.query_end(kind, started, result.is_ok(), scratch.trace_id);
-        result
+        crate::observe::run_query(&self.metrics.queries, request, scratch, |scratch| {
+            self.dispatch(request, scratch)
+        })
     }
 
     fn arrivals(&self) -> u64 {
@@ -823,11 +783,11 @@ impl BurstQueries for BurstDetector {
 
 impl Traceable for BurstDetector {
     fn set_tracer(&mut self, tracer: std::sync::Arc<Tracer>) {
-        self.metrics.set_tracer(tracer);
+        self.metrics.queries.set_tracer(tracer);
     }
 
     fn tracer(&self) -> &std::sync::Arc<Tracer> {
-        self.metrics.tracer()
+        self.metrics.queries.tracer()
     }
 }
 

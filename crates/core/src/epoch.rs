@@ -60,7 +60,7 @@ use crate::detector::BurstDetector;
 use crate::error::BedError;
 use crate::metrics::EpochMetrics;
 use crate::query::{BurstQueries, QueryRequest, QueryResponse};
-use crate::shard::{merge_hits, route};
+use crate::shard::{fan_out, route};
 
 /// Slots in a [`SnapshotCell`]'s ring. A reader only retries once the
 /// writer laps it by this many generations inside one (tiny) read-side
@@ -260,8 +260,9 @@ pub struct DetectorEpochs {
     /// [`AnyDetector::layout_shards`]).
     layout_shards: u32,
     cells: Vec<SnapshotCell<BurstDetector>>,
+    /// Publish metrics plus the instrumentation of every query the views
+    /// answer (scraped with the rest of `/metrics`).
     metrics: EpochMetrics,
-    tracer: Arc<Tracer>,
 }
 
 impl DetectorEpochs {
@@ -286,15 +287,15 @@ impl DetectorEpochs {
             config: *det.config(),
             layout_shards: det.layout_shards(),
             cells: (0..n).map(|_| SnapshotCell::new()).collect(),
-            metrics: EpochMetrics::new(),
-            tracer: Arc::new(Tracer::disabled()),
+            metrics: EpochMetrics::new(det.config().metrics),
         }
     }
 
-    /// Installs a tracer; publish spans bypass the sampler
+    /// Installs a tracer. Queries answered through the views open their
+    /// sampled root spans on it; publish spans bypass the sampler
     /// (`start_always`) because publishing is rare and heavyweight.
     pub fn set_tracer(&mut self, tracer: Arc<Tracer>) {
-        self.tracer = tracer;
+        self.metrics.queries.set_tracer(tracer);
     }
 
     /// Publishes finalized clones of `det`'s current state — one per
@@ -305,7 +306,7 @@ impl DetectorEpochs {
     /// *not* finalized: only the clones are, so ingest continues
     /// untouched.
     pub fn publish(&self, det: &AnyDetector) -> Watermark {
-        let trace = self.tracer.start_always(SpanName::EPOCH_PUBLISH);
+        let trace = self.metrics.queries.tracer().start_always(SpanName::EPOCH_PUBLISH);
         let started = std::time::Instant::now();
         let watermark = det.watermark();
         match det {
@@ -407,9 +408,10 @@ impl DetectorEpochs {
         }
     }
 
-    /// Snapshot of `epoch.*` metrics: the `epoch.published` /
+    /// Snapshot of `epoch.*` metrics — the `epoch.published` /
     /// `epoch.reader_retries` counters, publish latency, and an
-    /// `epoch.generation` gauge.
+    /// `epoch.generation` gauge — plus the `query.*` counts and latencies
+    /// of every query the views answered.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.sync_reader_retries(self.cells.iter().map(SnapshotCell::reader_retries).sum());
         self.metrics.set_gauge("epoch.generation", self.generation() as f64);
@@ -525,6 +527,10 @@ impl EpochView<'_> {
         }
     }
 
+    /// Routes one request to the published clones' uninstrumented
+    /// dispatch: per-event kinds to the owning shard's epoch, bursty-event
+    /// kinds through the shared [`fan_out`] over a coherent generation
+    /// vector.
     fn dispatch(
         &self,
         request: &QueryRequest,
@@ -538,34 +544,21 @@ impl EpochView<'_> {
             | QueryRequest::TopK { event, .. } => {
                 // The owning shard's universe check covers the full K, so
                 // routing first is safe even for out-of-range ids.
-                let i = if readers.len() == 1 { 0 } else { route(event, readers.len()) };
+                let i = route(event, readers.len());
                 readers[i].refresh(&self.epochs.cells[i]);
                 let epoch = readers[i].current().expect("genesis epoch always published");
-                let response = epoch.data.query_reusing(request, scratch)?;
+                let response = epoch.data.dispatch(request, scratch)?;
                 self.answered.set((epoch.generation, epoch.watermark));
                 Ok(response)
             }
             QueryRequest::BurstyEvents { t, theta, tau, strategy } => {
                 let (generation, watermark) = Self::refresh_coherent(readers, self.epochs);
-                let mut merged = Vec::new();
-                let mut stats = crate::QueryStats::default();
-                let n = readers.len();
-                for (i, reader) in readers.iter().enumerate() {
-                    let epoch = reader.current().expect("coherent vector");
-                    let (hits, s) =
-                        epoch.data.bursty_events_with_reusing(t, theta, tau, strategy, scratch)?;
-                    stats.point_queries += s.point_queries;
-                    stats.pruned_subtrees += s.pruned_subtrees;
-                    stats.leaves_probed += s.leaves_probed;
-                    // Keep each shard's hits on the events it owns, like
-                    // the live fan-out (a shard's sketch can only
-                    // over-count foreign ids). A single plain cell owns
-                    // everything.
-                    merged.extend(hits.into_iter().filter(|h| n == 1 || route(h.event, n) == i));
-                }
-                merge_hits(&mut merged);
+                let shards = readers.iter().map(|r| &*r.current().expect("coherent vector").data);
+                let (hits, stats) = fan_out(shards, |shard| {
+                    shard.bursty_events_with_reusing(t, theta, tau, strategy, scratch)
+                })?;
                 self.answered.set((generation, watermark));
-                Ok(QueryResponse::BurstyEvents { hits: merged, stats })
+                Ok(QueryResponse::BurstyEvents { hits, stats })
             }
         }
     }
@@ -575,15 +568,19 @@ impl BurstQueries for EpochView<'_> {
     /// Answers from the latest published epoch, reusing the view-owned
     /// scratch (per-thread views keep the hot path allocation-free).
     fn query(&self, request: &QueryRequest) -> Result<QueryResponse, BedError> {
-        self.dispatch(request, &mut self.scratch.borrow_mut())
+        self.query_reusing(request, &mut self.scratch.borrow_mut())
     }
 
+    /// The view is the outermost layer: it counts and traces the query
+    /// into [`DetectorEpochs`]' metrics and tracer.
     fn query_reusing(
         &self,
         request: &QueryRequest,
         scratch: &mut QueryScratch,
     ) -> Result<QueryResponse, BedError> {
-        self.dispatch(request, scratch)
+        crate::observe::run_query(&self.epochs.metrics.queries, request, scratch, |s| {
+            self.dispatch(request, s)
+        })
     }
 
     /// Arrivals covered by the latest published epoch (not the live

@@ -62,8 +62,7 @@
 //!   `heaviest_cell_arrivals,pieces,buffered}` (mixed modes), and
 //!   `structure.forest.{levels,nodes,occupied_nodes,pieces,buffered}`
 //!   (hierarchical mode)
-//! * `shard.batch.{count,elements,latency_ns}`,
-//!   `shard.fan_out.{count,latency_ns}`, `shard.count`, and per-shard
+//! * `shard.batch.{count,elements,latency_ns}`, `shard.count`, and per-shard
 //!   `shard.<i>.{arrivals,bytes}` gauges on a [`ShardedDetector`]
 //! * `pipeline.flush.{count,elements,latency_ns}` plus
 //!   `pipeline.{messages,unmapped,pending}` gauges on a

@@ -31,14 +31,11 @@ pub(crate) struct DetectorMetrics {
     ingest_errors: Arc<Counter>,
     ingest_latency: Arc<Histogram>,
     finalize_latency: Arc<Histogram>,
-    query_count: [Arc<Counter>; QueryKind::ALL.len()],
-    query_errors: Arc<Counter>,
-    query_latency: [Arc<Histogram>; QueryKind::ALL.len()],
+    pub(crate) queries: QueryInstruments,
     point_queries: Arc<Counter>,
     pruned_subtrees: Arc<Counter>,
     leaves_probed: Arc<Counter>,
     compact_latency: Arc<Histogram>,
-    tracer: Arc<Tracer>,
 }
 
 impl DetectorMetrics {
@@ -49,41 +46,19 @@ impl DetectorMetrics {
     /// Fetches (registering if absent) every handle from `registry` — the
     /// one constructor, so a deep clone re-binds to identical names.
     fn from_registry(registry: MetricsRegistry, enabled: bool) -> Self {
-        let query_count = QueryKind::ALL.map(|k| registry.counter(k.count_metric()));
-        let query_latency = QueryKind::ALL.map(|k| registry.histogram(k.latency_metric()));
         DetectorMetrics {
             enabled,
             ingest_count: registry.counter("ingest.count"),
             ingest_errors: registry.counter("ingest.errors"),
             ingest_latency: registry.histogram("ingest.latency_ns"),
             finalize_latency: registry.histogram("finalize.latency_ns"),
-            query_count,
-            query_errors: registry.counter("query.errors"),
-            query_latency,
+            queries: QueryInstruments::new(&registry, enabled),
             point_queries: registry.counter("query.stats.point_queries"),
             pruned_subtrees: registry.counter("query.stats.pruned_subtrees"),
             leaves_probed: registry.counter("query.stats.leaves_probed"),
             compact_latency: registry.histogram("retention.compact.latency_ns"),
-            tracer: Arc::new(Tracer::disabled()),
             registry,
         }
-    }
-
-    /// Installs a tracer (replacing the default disabled one).
-    pub(crate) fn set_tracer(&mut self, tracer: Arc<Tracer>) {
-        self.tracer = tracer;
-    }
-
-    pub(crate) fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// Starts a sampled root span for a query of `kind`, adopting
-    /// `trace_id` when nonzero (a caller-assigned request id). `None` on
-    /// the untraced path — a single relaxed load when tracing is off.
-    #[inline]
-    pub(crate) fn trace_query(&self, kind: QueryKind, trace_id: u64) -> Option<ActiveTrace<'_>> {
-        self.tracer.start_sampled_with(span_for(kind), (trace_id != 0).then_some(TraceId(trace_id)))
     }
 
     /// Counts one ingest attempt; returns a start instant on the sampled
@@ -119,37 +94,6 @@ impl DetectorMetrics {
     pub(crate) fn finalize_end(&self, started: Option<Instant>) {
         if let Some(t0) = started {
             self.finalize_latency.observe(t0.elapsed());
-        }
-    }
-
-    /// Counts one query of `kind` and starts its latency timer.
-    pub(crate) fn query_begin(&self, kind: QueryKind) -> Option<Instant> {
-        if !self.enabled {
-            return None;
-        }
-        self.query_count[kind.index()].inc();
-        Some(Instant::now())
-    }
-
-    /// Closes a query opened by [`Self::query_begin`]. A nonzero
-    /// `trace_id` is pinned as the latency bucket's OpenMetrics exemplar,
-    /// pointing the bucket at an inspectable trace.
-    pub(crate) fn query_end(
-        &self,
-        kind: QueryKind,
-        started: Option<Instant>,
-        ok: bool,
-        trace_id: u64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        if !ok {
-            self.query_errors.inc();
-        }
-        if let Some(t0) = started {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.query_latency[kind.index()].record_ns_exemplar(ns, trace_id);
         }
     }
 
@@ -215,13 +159,86 @@ impl Clone for DetectorMetrics {
         let mut clone = Self::from_registry(self.registry.deep_clone(), self.enabled);
         // The tracer is deliberately shared, not deep-cloned: spans from a
         // clone belong to the same diagnostic surface.
-        clone.tracer = Arc::clone(&self.tracer);
+        clone.queries.set_tracer(Arc::clone(self.queries.tracer()));
         clone
     }
 }
 
-/// Facade-level metrics of a [`crate::ShardedDetector`]: batch ingestion and
-/// fan-out/merge timings that no single shard can observe.
+/// The query instrumentation owned by the outermost
+/// [`crate::BurstQueries`] layer — a detector, the sharded facade, or the
+/// epoch publication surface: per-kind query counts and latency
+/// histograms, the error counter, and the tracer that opens each query's
+/// root span. [`crate::observe::run_query`] drives it; inner layers never
+/// touch theirs, so every query is counted and traced exactly once.
+#[derive(Debug)]
+pub(crate) struct QueryInstruments {
+    enabled: bool,
+    count: [Arc<Counter>; QueryKind::ALL.len()],
+    errors: Arc<Counter>,
+    latency: [Arc<Histogram>; QueryKind::ALL.len()],
+    tracer: Arc<Tracer>,
+}
+
+impl QueryInstruments {
+    /// Binds the `query.*` families in `registry` (registering them if
+    /// absent, so a deep-cloned registry re-binds to the same names).
+    pub(crate) fn new(registry: &MetricsRegistry, enabled: bool) -> Self {
+        QueryInstruments {
+            enabled,
+            count: QueryKind::ALL.map(|k| registry.counter(k.count_metric())),
+            errors: registry.counter("query.errors"),
+            latency: QueryKind::ALL.map(|k| registry.histogram(k.latency_metric())),
+            tracer: Arc::new(Tracer::disabled()),
+        }
+    }
+
+    /// Installs a tracer (replacing the default disabled one).
+    pub(crate) fn set_tracer(&mut self, tracer: Arc<Tracer>) {
+        self.tracer = tracer;
+    }
+
+    pub(crate) fn tracer(&self) -> &Arc<Tracer> {
+        &self.tracer
+    }
+
+    /// Starts a sampled root span for a query of `kind`, adopting
+    /// `trace_id` when nonzero (a caller-assigned request id). `None` on
+    /// the untraced path — a single relaxed load when tracing is off.
+    #[inline]
+    pub(crate) fn trace(&self, kind: QueryKind, trace_id: u64) -> Option<ActiveTrace<'_>> {
+        self.tracer.start_sampled_with(span_for(kind), (trace_id != 0).then_some(TraceId(trace_id)))
+    }
+
+    /// Counts one query of `kind` and starts its latency timer.
+    #[inline]
+    pub(crate) fn begin(&self, kind: QueryKind) -> Option<Instant> {
+        if !self.enabled {
+            return None;
+        }
+        self.count[kind.index()].inc();
+        Some(Instant::now())
+    }
+
+    /// Closes a query opened by [`Self::begin`]. A nonzero `trace_id` is
+    /// pinned as the latency bucket's OpenMetrics exemplar, pointing the
+    /// bucket at an inspectable trace.
+    #[inline]
+    pub(crate) fn end(&self, kind: QueryKind, started: Option<Instant>, ok: bool, trace_id: u64) {
+        if !self.enabled {
+            return;
+        }
+        if !ok {
+            self.errors.inc();
+        }
+        if let Some(t0) = started {
+            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.latency[kind.index()].record_ns_exemplar(ns, trace_id);
+        }
+    }
+}
+
+/// Facade-level metrics of a [`crate::ShardedDetector`]: batch ingestion
+/// and the queries the facade answers — what no single shard observes.
 #[derive(Debug)]
 pub(crate) struct ShardMetrics {
     enabled: bool,
@@ -229,9 +246,10 @@ pub(crate) struct ShardMetrics {
     batches: Arc<Counter>,
     batch_elements: Arc<Counter>,
     batch_latency: Arc<Histogram>,
-    fan_outs: Arc<Counter>,
-    fan_out_latency: Arc<Histogram>,
-    tracer: Arc<Tracer>,
+    /// The facade's query instrumentation (shards never count or trace
+    /// the queries the facade routes to them). Boxed to keep the facade —
+    /// an [`crate::AnyDetector`] variant — small.
+    pub(crate) queries: Box<QueryInstruments>,
 }
 
 impl ShardMetrics {
@@ -245,27 +263,9 @@ impl ShardMetrics {
             batches: registry.counter("shard.batch.count"),
             batch_elements: registry.counter("shard.batch.elements"),
             batch_latency: registry.histogram("shard.batch.latency_ns"),
-            fan_outs: registry.counter("shard.fan_out.count"),
-            fan_out_latency: registry.histogram("shard.fan_out.latency_ns"),
-            tracer: Arc::new(Tracer::disabled()),
+            queries: Box::new(QueryInstruments::new(&registry, enabled)),
             registry,
         }
-    }
-
-    /// Installs a tracer on the facade (shards keep disabled tracers).
-    pub(crate) fn set_tracer(&mut self, tracer: Arc<Tracer>) {
-        self.tracer = tracer;
-    }
-
-    pub(crate) fn tracer(&self) -> &Arc<Tracer> {
-        &self.tracer
-    }
-
-    /// Starts a sampled facade root span for a query of `kind`, adopting
-    /// `trace_id` when nonzero.
-    #[inline]
-    pub(crate) fn trace_query(&self, kind: QueryKind, trace_id: u64) -> Option<ActiveTrace<'_>> {
-        self.tracer.start_sampled_with(span_for(kind), (trace_id != 0).then_some(TraceId(trace_id)))
     }
 
     /// Starts timing one `ingest_batch` call of `len` elements.
@@ -284,21 +284,6 @@ impl ShardMetrics {
         }
     }
 
-    /// Starts timing one cross-shard fan-out/merge.
-    pub(crate) fn fan_out_begin(&self) -> Option<Instant> {
-        if !self.enabled {
-            return None;
-        }
-        self.fan_outs.inc();
-        Some(Instant::now())
-    }
-
-    pub(crate) fn fan_out_end(&self, started: Option<Instant>) {
-        if let Some(t0) = started {
-            self.fan_out_latency.observe(t0.elapsed());
-        }
-    }
-
     /// Refreshes a facade-level gauge (cold path).
     pub(crate) fn set_gauge(&self, name: &str, value: f64) {
         if self.enabled {
@@ -314,7 +299,7 @@ impl ShardMetrics {
 impl Clone for ShardMetrics {
     fn clone(&self) -> Self {
         let mut clone = Self::from_registry(self.registry.deep_clone(), self.enabled);
-        clone.tracer = Arc::clone(&self.tracer);
+        clone.queries.set_tracer(Arc::clone(self.queries.tracer()));
         clone
     }
 }
@@ -386,23 +371,26 @@ impl CheckpointMetrics {
     }
 }
 
-/// Metrics of a [`crate::epoch::DetectorEpochs`]: publish cadence and
-/// reader-retry pressure on the snapshot cells.
+/// Metrics of a [`crate::epoch::DetectorEpochs`]: publish cadence,
+/// reader-retry pressure on the snapshot cells, and the queries its views
+/// answer (the published clones' own registries are never scraped).
 #[derive(Debug)]
 pub(crate) struct EpochMetrics {
     registry: MetricsRegistry,
     published: Arc<Counter>,
     reader_retries: Arc<Counter>,
     publish_latency: Arc<Histogram>,
+    pub(crate) queries: QueryInstruments,
 }
 
 impl EpochMetrics {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         let registry = MetricsRegistry::new();
         EpochMetrics {
             published: registry.counter("epoch.published"),
             reader_retries: registry.counter("epoch.reader_retries"),
             publish_latency: registry.histogram("epoch.publish.latency_ns"),
+            queries: QueryInstruments::new(&registry, enabled),
             registry,
         }
     }

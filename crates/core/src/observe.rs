@@ -11,23 +11,32 @@
 //!
 //! - roots `query.{point,bursty_times,bursty_events,series,top_k}` with
 //!   children `stage.cell_probe`, `stage.median_combine`,
-//!   `stage.hierarchy_prune`, and (sharded) `shard.fan_out`;
+//!   `stage.hierarchy_prune` (on a sharded layout the root itself spans
+//!   the fan-out over every shard);
 //! - sampled roots `pipeline.flush` and `wal.append`;
 //! - unsampled roots `checkpoint.save` / `checkpoint.recover` (rare and
 //!   heavyweight, so the sampler is bypassed).
 //!
-//! On a sharded detector the tracer is installed at the **facade only**:
-//! shard-local detectors keep disabled tracers so one request never starts
-//! competing root spans. The facade arms the `QueryScratch` stage clocks
-//! and harvests them into child spans regardless of which shard ran the
+//! Every query is instrumented exactly once, by the outermost
+//! [`BurstQueries`](crate::BurstQueries) layer it enters — a
+//! [`BurstDetector`](crate::BurstDetector), the
+//! [`ShardedDetector`](crate::ShardedDetector) facade, or an
+//! [`EpochView`](crate::EpochView) — through one helper, `run_query`.
+//! Shards and published epoch clones answer through their uninstrumented
+//! dispatch, so one request never starts competing root spans or double
+//! counts; the outer layer arms the `QueryScratch` stage clocks and
+//! harvests them into child spans regardless of which shard ran the
 //! kernels.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use bed_obs::{SpanName, Tracer};
+use bed_sketch::QueryScratch;
 
-use crate::query::{QueryKind, QueryRequest};
+use crate::error::BedError;
+use crate::metrics::QueryInstruments;
+use crate::query::{QueryKind, QueryRequest, QueryResponse};
 
 /// A component that carries a [`Tracer`] and can have one installed.
 ///
@@ -99,26 +108,43 @@ pub(crate) fn request_params(request: &QueryRequest) -> String {
     s
 }
 
-/// Harvests the stage clocks accumulated in `scratch` into child spans of
-/// `trace`, then finishes the root. Shared by the plain and sharded query
-/// paths.
-pub(crate) fn finish_query_trace(
-    trace: bed_obs::ActiveTrace<'_>,
-    scratch: &bed_sketch::QueryScratch,
+/// Runs one query under the outermost layer's instrumentation — the one
+/// place a query is counted, timed, and traced. Opens the sampled root span
+/// (adopting `scratch.trace_id` when nonzero), arms the scratch stage
+/// clocks when traced or in EXPLAIN mode, runs `dispatch`, harvests the
+/// stage clocks into child spans, and records the count and latency with
+/// the trace id as exemplar.
+pub(crate) fn run_query(
+    queries: &QueryInstruments,
     request: &QueryRequest,
-) {
-    let mut trace = trace;
-    let stages = &scratch.stages;
-    if stages.cell_probe_ns > 0 {
-        trace.child_ns(SpanName::STAGE_CELL_PROBE, stages.cell_probe_ns);
+    scratch: &mut QueryScratch,
+    dispatch: impl FnOnce(&mut QueryScratch) -> Result<QueryResponse, BedError>,
+) -> Result<QueryResponse, BedError> {
+    let kind = request.kind();
+    let started = queries.begin(kind);
+    let trace = queries.trace(kind, scratch.trace_id);
+    scratch.stages.reset(trace.is_some() || scratch.explain);
+    let result = dispatch(scratch);
+    if let Some(mut trace) = trace {
+        let stages = &scratch.stages;
+        for (name, ns) in [
+            (SpanName::STAGE_CELL_PROBE, stages.cell_probe_ns),
+            (SpanName::STAGE_MEDIAN_COMBINE, stages.median_combine_ns),
+            (SpanName::STAGE_HIERARCHY_PRUNE, stages.hierarchy_prune_ns),
+        ] {
+            if ns > 0 {
+                trace.child_ns(name, ns);
+            }
+        }
+        trace.finish(|| request_params(request));
+        // In EXPLAIN mode the caller harvests the populated timings after
+        // we return; only disarm when it will not.
+        if !scratch.explain {
+            scratch.stages.reset(false);
+        }
     }
-    if stages.median_combine_ns > 0 {
-        trace.child_ns(SpanName::STAGE_MEDIAN_COMBINE, stages.median_combine_ns);
-    }
-    if stages.hierarchy_prune_ns > 0 {
-        trace.child_ns(SpanName::STAGE_HIERARCHY_PRUNE, stages.hierarchy_prune_ns);
-    }
-    trace.finish(|| request_params(request));
+    queries.end(kind, started, result.is_ok(), scratch.trace_id);
+    result
 }
 
 #[cfg(test)]

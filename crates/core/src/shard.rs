@@ -26,7 +26,7 @@
 //! and matches the unsharded scan set for set.
 
 use bed_hierarchy::{BurstyEventHit, QueryStats};
-use bed_obs::{MetricsSnapshot, SpanName, Tracer};
+use bed_obs::{MetricsSnapshot, Tracer};
 use bed_stream::{BurstSpan, EventId, StreamError, TimeRange, Timestamp};
 
 use crate::config::DetectorConfig;
@@ -58,11 +58,38 @@ pub(crate) fn route(event: EventId, n: usize) -> usize {
     (mix(event.value() as u64) % n as u64) as usize
 }
 
+/// An event-set answer: hits plus the probe statistics of the search.
+pub(crate) type EventSetAnswer = Result<(Vec<BurstyEventHit>, QueryStats), BedError>;
+
+/// The one bursty-event fan-out, shared by the live [`ShardedDetector`]
+/// and the epoch read path ([`crate::epoch`]): runs `query` on every shard
+/// in routing order, keeps each shard's hits on the events it owns (a
+/// shard's sketch can only over-count, so it may report collision ghosts
+/// for ids it never saw), sums the stats, and merges. A single shard owns
+/// every id (`route(_, 1) == 0`), so the plain layout needs no special
+/// case.
+pub(crate) fn fan_out<'a>(
+    shards: impl ExactSizeIterator<Item = &'a BurstDetector>,
+    mut query: impl FnMut(&BurstDetector) -> EventSetAnswer,
+) -> EventSetAnswer {
+    let n = shards.len();
+    let mut merged: Vec<BurstyEventHit> = Vec::new();
+    let mut stats = QueryStats::default();
+    for (i, shard) in shards.enumerate() {
+        let (hits, s) = query(shard)?;
+        stats.point_queries += s.point_queries;
+        stats.pruned_subtrees += s.pruned_subtrees;
+        stats.leaves_probed += s.leaves_probed;
+        merged.extend(hits.into_iter().filter(|h| route(h.event, n) == i));
+    }
+    merge_hits(&mut merged);
+    Ok((merged, stats))
+}
+
 /// Canonical cross-shard hit merge: dedup by event (keeping the larger
 /// estimate), then order by descending burstiness with event id as the
-/// tiebreak. Shared by the live fan-out below and the epoch fan-out in
-/// [`crate::epoch`] so both layouts produce identical answer ordering.
-pub(crate) fn merge_hits(merged: &mut Vec<BurstyEventHit>) {
+/// tiebreak, so every layout produces identical answer ordering.
+fn merge_hits(merged: &mut Vec<BurstyEventHit>) {
     merged.sort_by(|a, b| {
         a.event
             .cmp(&b.event)
@@ -342,7 +369,7 @@ impl ShardedDetector {
         tau: BurstSpan,
         strategy: QueryStrategy,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.fan_out(|shard| shard.bursty_events_with(t, theta, tau, strategy))
+        fan_out(self.shards.iter(), |shard| shard.bursty_events_with(t, theta, tau, strategy))
     }
 
     /// [`Self::bursty_events_with`] with caller-provided scratch: the
@@ -356,7 +383,9 @@ impl ShardedDetector {
         strategy: QueryStrategy,
         scratch: &mut bed_sketch::QueryScratch,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.fan_out(|shard| shard.bursty_events_with_reusing(t, theta, tau, strategy, scratch))
+        fan_out(self.shards.iter(), |shard| {
+            shard.bursty_events_with_reusing(t, theta, tau, strategy, scratch)
+        })
     }
 
     /// BURSTY EVENT QUERY restricted to event ids `[lo, hi)`, merged
@@ -370,78 +399,9 @@ impl ShardedDetector {
         tau: BurstSpan,
         strategy: QueryStrategy,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.fan_out(|shard| shard.bursty_events_in_range_with(lo, hi, t, theta, tau, strategy))
-    }
-
-    /// BURSTY EVENT QUERY with the default pruned strategy.
-    #[deprecated(since = "0.1.0", note = "use bursty_events_with(t, θ, τ, QueryStrategy::Pruned)")]
-    pub fn bursty_events(
-        &self,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.bursty_events_with(t, theta, tau, QueryStrategy::Pruned)
-    }
-
-    /// BURSTY EVENT QUERY via exhaustive scan.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use bursty_events_with(t, θ, τ, QueryStrategy::ExactScan)"
-    )]
-    pub fn bursty_events_scan(
-        &self,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.bursty_events_with(t, theta, tau, QueryStrategy::ExactScan)
-    }
-
-    /// Range-restricted BURSTY EVENT QUERY with the pruned strategy.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use bursty_events_in_range_with(lo, hi, t, θ, τ, QueryStrategy::Pruned)"
-    )]
-    pub fn bursty_events_in_range(
-        &self,
-        lo: u32,
-        hi: u32,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        self.bursty_events_in_range_with(lo, hi, t, theta, tau, QueryStrategy::Pruned)
-    }
-
-    /// Runs an event-set query on every shard, keeps each shard's hits on
-    /// the events it owns (a shard's sketch can only over-count, so it may
-    /// report collision ghosts for ids it never saw), dedups, and merges.
-    fn fan_out(
-        &self,
-        query: impl FnMut(&BurstDetector) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError>,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        let started = self.metrics.fan_out_begin();
-        let result = self.fan_out_inner(query);
-        self.metrics.fan_out_end(started);
-        result
-    }
-
-    fn fan_out_inner(
-        &self,
-        mut query: impl FnMut(&BurstDetector) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError>,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        let mut merged: Vec<BurstyEventHit> = Vec::new();
-        let mut stats = QueryStats::default();
-        for (i, shard) in self.shards.iter().enumerate() {
-            let (hits, s) = query(shard)?;
-            stats.point_queries += s.point_queries;
-            stats.pruned_subtrees += s.pruned_subtrees;
-            stats.leaves_probed += s.leaves_probed;
-            merged.extend(hits.into_iter().filter(|h| self.owner(h.event) == i));
-        }
-        merge_hits(&mut merged);
-        Ok((merged, stats))
+        fan_out(self.shards.iter(), |shard| {
+            shard.bursty_events_in_range_with(lo, hi, t, theta, tau, strategy)
+        })
     }
 
     /// Elements ingested so far, across all shards.
@@ -473,8 +433,8 @@ impl ShardedDetector {
     }
 
     /// Captures a [`MetricsSnapshot`] rolling every shard up: counters and
-    /// histograms are summed across shards, facade-level batch/fan-out
-    /// timings are kept as-is, and per-shard `shard.<i>.{arrivals,bytes}`
+    /// histograms are summed across shards (the facade's query families
+    /// included), and per-shard `shard.<i>.{arrivals,bytes}`
     /// gauges plus `shard.count` are refreshed first.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.set_gauge("shard.count", self.shards.len() as f64);
@@ -489,10 +449,10 @@ impl ShardedDetector {
         merged
     }
 
-    /// Routes one [`QueryRequest`]: per-event kinds go to the owning shard's
-    /// [`BurstQueries::query_reusing`] (whose universe check covers the full
-    /// `K`), bursty-event kinds fan out and merge with the scratch shared
-    /// across the sequential shard visits.
+    /// Routes one [`QueryRequest`]: per-event kinds go to the owning
+    /// shard's uninstrumented dispatch (whose universe check covers the
+    /// full `K`), bursty-event kinds fan out and merge with the scratch
+    /// shared across the sequential shard visits.
     fn dispatch(
         &self,
         request: &QueryRequest,
@@ -503,7 +463,7 @@ impl ShardedDetector {
             | QueryRequest::BurstyTimes { event, .. }
             | QueryRequest::Series { event, .. }
             | QueryRequest::TopK { event, .. } => {
-                self.shards[self.owner(event)].query_reusing(request, scratch)
+                self.shards[self.owner(event)].dispatch(request, scratch)
             }
             QueryRequest::BurstyEvents { t, theta, tau, strategy } => {
                 let (hits, stats) =
@@ -520,36 +480,17 @@ impl BurstQueries for ShardedDetector {
         self.query_reusing(request, &mut scratch)
     }
 
+    /// The facade counts and traces every query once; the shards'
+    /// kernels accumulate stage timings into the armed scratch, harvested
+    /// under the facade's root span.
     fn query_reusing(
         &self,
         request: &QueryRequest,
         scratch: &mut bed_sketch::QueryScratch,
     ) -> Result<QueryResponse, BedError> {
-        let kind = request.kind();
-        // The facade owns the root span; shard-local tracers stay disabled
-        // (see `set_tracer`), so arming the scratch here lets the shards'
-        // kernels accumulate stage timings that we harvest below.
-        let mut trace = self.metrics.trace_query(kind, scratch.trace_id);
-        if trace.is_some() || scratch.explain {
-            scratch.stages.reset(true);
-        } else if !scratch.stages.enabled {
-            scratch.stages.reset(false);
-        }
-        let fan_out_t0 = match (&trace, request) {
-            (Some(_), QueryRequest::BurstyEvents { .. }) => Some(std::time::Instant::now()),
-            _ => None,
-        };
-        let result = self.dispatch(request, scratch);
-        if let Some(mut tr) = trace.take() {
-            if let Some(t0) = fan_out_t0 {
-                tr.child(SpanName::SHARD_FAN_OUT, t0);
-            }
-            crate::observe::finish_query_trace(tr, scratch, request);
-            if !scratch.explain {
-                scratch.stages.reset(false);
-            }
-        }
-        result
+        crate::observe::run_query(&self.metrics.queries, request, scratch, |scratch| {
+            self.dispatch(request, scratch)
+        })
     }
 
     fn arrivals(&self) -> u64 {
@@ -570,16 +511,15 @@ impl BurstQueries for ShardedDetector {
 }
 
 impl Traceable for ShardedDetector {
-    /// Installs the tracer on the **facade only**. Shard-local detectors
-    /// keep their disabled tracers, so one request produces exactly one
-    /// root span (with shard kernels contributing stage children via the
-    /// armed scratch) instead of a competing root per shard.
+    /// Installs the tracer on the **facade only**: the facade opens every
+    /// query's root span, and the shards answer through their
+    /// uninstrumented dispatch.
     fn set_tracer(&mut self, tracer: std::sync::Arc<Tracer>) {
-        self.metrics.set_tracer(tracer);
+        self.metrics.queries.set_tracer(tracer);
     }
 
     fn tracer(&self) -> &std::sync::Arc<Tracer> {
-        self.metrics.tracer()
+        self.metrics.queries.tracer()
     }
 }
 
@@ -772,6 +712,28 @@ mod tests {
             det.bursty_events_with(Timestamp(99), 50.0, tau, QueryStrategy::ExactScan).unwrap();
         assert_eq!(scan_hits.len(), 1);
         assert_eq!(scan_hits[0].event, EventId(5));
+    }
+
+    #[test]
+    fn facade_counts_bursty_event_queries_once() {
+        let mut det = sharded(3);
+        det.ingest_batch(&fixture_batch()).unwrap();
+        det.finalize();
+        let tau = BurstSpan::new(10).unwrap();
+        let req = QueryRequest::BurstyEvents {
+            t: Timestamp(99),
+            theta: 50.0,
+            tau,
+            strategy: QueryStrategy::Pruned,
+        };
+        let count = |det: &ShardedDetector| det.metrics().counter("query.bursty_events.count");
+        for expected in 1..=3u64 {
+            det.query(&req).unwrap();
+            assert_eq!(count(&det), Some(expected), "one count per fan-out, not per shard");
+        }
+        // per-event kinds route to one shard and are counted once too
+        det.query(&QueryRequest::Point { event: EventId(5), t: Timestamp(99), tau }).unwrap();
+        assert_eq!(det.metrics().counter("query.point.count"), Some(1));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use bed_pbe::CurveSketch;
 use bed_sketch::{CmPbe, SketchParams};
 use bed_stream::{EventId, StreamError, Timestamp};
 
-use crate::dyadic::{level_count, padded_universe, DyadicRange};
+use crate::dyadic::{level_count, padded_universe};
 
 /// One CM-PBE per level of the dyadic decomposition of `[0, K)`.
 ///
@@ -188,21 +188,6 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         self.grids.first().map_or(0, |g| g.arrivals())
     }
 
-    /// Estimated burstiness of a dyadic block at `t`.
-    pub fn block_burstiness(
-        &self,
-        range: DyadicRange,
-        t: Timestamp,
-        tau: bed_stream::BurstSpan,
-    ) -> f64 {
-        self.grids[range.level as usize].estimate_burstiness(EventId(range.index), t, tau)
-    }
-
-    /// Estimated cumulative frequency of a single event (leaf level).
-    pub fn estimate_cum(&self, event: EventId, t: Timestamp) -> f64 {
-        self.grids[0].estimate_cum(event, t)
-    }
-
     /// Estimated burstiness of a single event (leaf level).
     pub fn estimate_burstiness(
         &self,
@@ -299,6 +284,7 @@ impl<P: bed_stream::Codec> bed_stream::Codec for DyadicCmPbe<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dyadic::DyadicRange;
     use bed_pbe::ExactCurve;
     use bed_stream::BurstSpan;
 
@@ -344,7 +330,7 @@ mod tests {
         let b4 = f.estimate_burstiness(EventId(4), t, tau);
         let b5 = f.estimate_burstiness(EventId(5), t, tau);
         let parent = DyadicRange { level: 1, index: 2 }; // covers {4, 5}
-        let bp = f.block_burstiness(parent, t, tau);
+        let bp = f.grid(parent.level).estimate_burstiness(EventId(parent.index), t, tau);
         assert!((bp - (b4 + b5)).abs() < 1e-9, "bp={bp} b4={b4} b5={b5}");
     }
 

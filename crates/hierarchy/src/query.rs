@@ -4,7 +4,7 @@
 use bed_pbe::kernel::CurveCursor;
 use bed_pbe::traits::bursty_time_candidates;
 use bed_pbe::CurveSketch;
-use bed_sketch::{CmPbe, QueryScratch};
+use bed_sketch::{Clock, NoClock, QueryScratch, StageClock, StageTimings};
 use bed_stream::{BurstSpan, EventId, Timestamp};
 
 use crate::dyadic::DyadicRange;
@@ -32,6 +32,18 @@ pub struct QueryStats {
     pub leaves_probed: usize,
 }
 
+/// The running state of one pruned dyadic search over the ids `[lo, hi)`.
+struct Search<'a> {
+    lo: u32,
+    hi: u32,
+    t: Timestamp,
+    theta: f64,
+    tau: BurstSpan,
+    hits: Vec<BurstyEventHit>,
+    stats: QueryStats,
+    stages: &'a mut StageTimings,
+}
+
 impl<P: CurveSketch> DyadicCmPbe<P> {
     /// BURSTY EVENT QUERY `q(t, θ, τ)` via top-down pruned search
     /// (Algorithm 3). Returns qualifying events (estimated `b̃_e(t) ≥ θ`)
@@ -54,56 +66,7 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         theta: f64,
         tau: BurstSpan,
     ) -> (Vec<BurstyEventHit>, QueryStats) {
-        assert!(theta > 0.0, "bursty event queries require a positive threshold");
-        let mut hits = Vec::new();
-        let mut stats = QueryStats::default();
-        let root = DyadicRange { level: self.levels() - 1, index: 0 };
-        stats.point_queries += 1;
-        let b_root = self.block_burstiness(root, t, tau);
-        self.recurse(root, b_root, t, theta, tau, &mut hits, &mut stats);
-        hits.sort_by_key(|h| h.event);
-        (hits, stats)
-    }
-
-    /// `b_node` is the node's own estimate, computed once by the parent (so
-    /// each visited internal node costs exactly two point queries — one per
-    /// child — and leaves cost none).
-    #[allow(clippy::too_many_arguments)]
-    fn recurse(
-        &self,
-        node: DyadicRange,
-        b_node: f64,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-        hits: &mut Vec<BurstyEventHit>,
-        stats: &mut QueryStats,
-    ) {
-        if node.start() >= self.universe() {
-            // fully inside the padding: never updated
-            stats.pruned_subtrees += 1;
-            return;
-        }
-        if node.level == 0 {
-            stats.leaves_probed += 1;
-            if b_node >= theta {
-                hits.push(BurstyEventHit { event: EventId(node.index), burstiness: b_node });
-            }
-            return;
-        }
-        let left = node.left_child().expect("non-leaf");
-        let right = node.right_child().expect("non-leaf");
-        let b_l = self.block_burstiness(left, t, tau);
-        let b_r = self.block_burstiness(right, t, tau);
-        stats.point_queries += 2;
-        // Eq. 6: b_p² − 2·b_l·b_r = b_l² + b_r² (exactly, when estimates are
-        // exact); below θ² implies both children are below θ in magnitude.
-        if b_node * b_node - 2.0 * b_l * b_r < theta * theta {
-            stats.pruned_subtrees += 1;
-            return;
-        }
-        self.recurse(left, b_l, t, theta, tau, hits, stats);
-        self.recurse(right, b_r, t, theta, tau, hits, stats);
+        self.bursty_events_staged(0, u32::MAX, t, theta, tau, &mut StageTimings::default())
     }
 
     /// BURSTY EVENT QUERY restricted to the event-id range `[lo, hi)` — the
@@ -124,86 +87,105 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         theta: f64,
         tau: BurstSpan,
     ) -> (Vec<BurstyEventHit>, QueryStats) {
-        assert!(theta > 0.0, "bursty event queries require a positive threshold");
         assert!(lo < hi, "empty id range");
-        let mut hits = Vec::new();
-        let mut stats = QueryStats::default();
-        let root = DyadicRange { level: self.levels() - 1, index: 0 };
-        stats.point_queries += 1;
-        let b_root = self.block_burstiness(root, t, tau);
-        self.recurse_range(root, b_root, lo, hi, t, theta, tau, &mut hits, &mut stats);
-        hits.sort_by_key(|h| h.event);
-        (hits, stats)
+        self.bursty_events_staged(lo, hi, t, theta, tau, &mut StageTimings::default())
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn recurse_range(
+    /// The pruned search behind [`Self::bursty_events`] (`[0, u32::MAX)`)
+    /// and [`Self::bursty_events_in_range`], reporting into a query's
+    /// stage clocks: while `stages` is armed, every block probe is timed
+    /// and counted as cell-probe and median-combine work and the rest of
+    /// the search as `hierarchy_prune_ns`. The answer is bit-identical
+    /// either way.
+    pub fn bursty_events_staged(
         &self,
-        node: DyadicRange,
-        b_node: f64,
         lo: u32,
         hi: u32,
         t: Timestamp,
         theta: f64,
         tau: BurstSpan,
-        hits: &mut Vec<BurstyEventHit>,
-        stats: &mut QueryStats,
-    ) {
-        if node.end() <= lo || node.start() >= hi || node.start() >= self.universe() {
-            stats.pruned_subtrees += 1;
+        stages: &mut StageTimings,
+    ) -> (Vec<BurstyEventHit>, QueryStats) {
+        assert!(theta > 0.0, "bursty event queries require a positive threshold");
+        let stats = QueryStats::default();
+        let mut s = Search { lo, hi, t, theta, tau, hits: Vec::new(), stats, stages };
+        if s.stages.enabled {
+            let started = std::time::Instant::now();
+            let probing = s.stages.cell_probe_ns + s.stages.median_combine_ns;
+            self.search_from_root::<StageClock>(&mut s);
+            let probed = s.stages.cell_probe_ns + s.stages.median_combine_ns - probing;
+            let total = started.elapsed().as_nanos() as u64;
+            s.stages.hierarchy_prune_ns += total.saturating_sub(probed);
+        } else {
+            self.search_from_root::<NoClock>(&mut s);
+        }
+        s.hits.sort_by_key(|h| h.event);
+        (s.hits, s.stats)
+    }
+
+    fn search_from_root<C: Clock>(&self, s: &mut Search<'_>) {
+        let root = DyadicRange { level: self.levels() - 1, index: 0 };
+        s.stats.point_queries += 1;
+        let b_root = self.block_probe::<C>(root, s);
+        self.recurse::<C>(root, b_root, s);
+    }
+
+    /// A dyadic block's burstiness through its level grid's fused probe.
+    fn block_probe<C: Clock>(&self, node: DyadicRange, s: &mut Search<'_>) -> f64 {
+        let grid = self.grid(node.level);
+        let [f0, f1, f2] = grid.probe3_with::<C>(EventId(node.index), s.t, s.tau, s.stages);
+        f0 - 2.0 * f1 + f2
+    }
+
+    /// `b_node` is the node's own estimate, computed once by the parent (so
+    /// each visited internal node costs exactly two point queries — one per
+    /// child — and leaves cost none). Subtrees outside `[lo, hi)` or inside
+    /// the padding (never updated) are skipped outright.
+    fn recurse<C: Clock>(&self, node: DyadicRange, b_node: f64, s: &mut Search<'_>) {
+        if node.end() <= s.lo || node.start() >= s.hi || node.start() >= self.universe() {
+            s.stats.pruned_subtrees += 1;
             return;
         }
         if node.level == 0 {
-            stats.leaves_probed += 1;
-            if b_node >= theta {
-                hits.push(BurstyEventHit { event: EventId(node.index), burstiness: b_node });
+            s.stats.leaves_probed += 1;
+            if b_node >= s.theta {
+                s.hits.push(BurstyEventHit { event: EventId(node.index), burstiness: b_node });
             }
             return;
         }
-        let fully_inside = lo <= node.start() && node.end() <= hi;
+        let fully_inside = s.lo <= node.start() && node.end() <= s.hi;
         let left = node.left_child().expect("non-leaf");
         let right = node.right_child().expect("non-leaf");
-        let b_l = self.block_burstiness(left, t, tau);
-        let b_r = self.block_burstiness(right, t, tau);
-        stats.point_queries += 2;
-        // The Eq. 6 bound is only sound when the node's estimate covers
-        // exactly the ids under consideration.
-        if fully_inside && b_node * b_node - 2.0 * b_l * b_r < theta * theta {
-            stats.pruned_subtrees += 1;
+        let b_l = self.block_probe::<C>(left, s);
+        let b_r = self.block_probe::<C>(right, s);
+        s.stats.point_queries += 2;
+        // Eq. 6: b_p² − 2·b_l·b_r = b_l² + b_r² (exactly, when estimates are
+        // exact); below θ² implies both children are below θ in magnitude.
+        // The bound is only sound when the node's estimate covers exactly
+        // the ids under consideration.
+        if fully_inside && b_node * b_node - 2.0 * b_l * b_r < s.theta * s.theta {
+            s.stats.pruned_subtrees += 1;
             return;
         }
-        self.recurse_range(left, b_l, lo, hi, t, theta, tau, hits, stats);
-        self.recurse_range(right, b_r, lo, hi, t, theta, tau, hits, stats);
+        self.recurse::<C>(left, b_l, s);
+        self.recurse::<C>(right, b_r, s);
     }
 
     /// Naive baseline: point-query every event id in the universe
-    /// ("query each event id e ∈ Σ using a POINT QUERY").
+    /// ("query each event id e ∈ Σ using a POINT QUERY"), through the leaf
+    /// grid's batched row-major kernel ([`bed_sketch::CmPbe::burstiness_scan_into`]) —
+    /// bit-for-bit the per-event loop, but each grid row is walked
+    /// sequentially and each distinct cell probed once.
     pub fn bursty_events_scan(
         &self,
         t: Timestamp,
         theta: f64,
         tau: BurstSpan,
     ) -> (Vec<BurstyEventHit>, QueryStats) {
-        let mut scratch = QueryScratch::new();
-        self.bursty_events_scan_reusing(t, theta, tau, &mut scratch)
-    }
-
-    /// [`Self::bursty_events_scan`] with caller-provided scratch: the whole
-    /// universe is evaluated through the leaf grid's batched row-major
-    /// kernel ([`CmPbe::burstiness_scan_into`]), which is bit-for-bit equal
-    /// to the per-event loop ([`crate::forest::DyadicCmPbe::estimate_burstiness`]
-    /// delegates to the leaf grid) but walks each grid row sequentially and
-    /// probes each distinct cell once.
-    pub fn bursty_events_scan_reusing(
-        &self,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-        scratch: &mut QueryScratch,
-    ) -> (Vec<BurstyEventHit>, QueryStats) {
         let mut hits = Vec::new();
         let mut stats = QueryStats::default();
-        self.grid(0).burstiness_scan_into(0, self.universe(), t, tau, scratch, |event, b| {
+        let mut scratch = QueryScratch::new();
+        self.grid(0).burstiness_scan_into(0, self.universe(), t, tau, &mut scratch, |event, b| {
             stats.point_queries += 1;
             stats.leaves_probed += 1;
             if b >= theta {
@@ -216,7 +198,8 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
     /// BURSTY TIME QUERY `q(e, θ, τ)` against the leaf-level CM-PBE: probes
     /// the sketch's knee instants (plus their `+τ/+2τ` echoes) and returns
     /// those with `b̃_e(t) ≥ θ` (Section V's "point query at each time
-    /// instance when a new line segment starts").
+    /// instance when a new line segment starts"), through the grid's fused
+    /// hinted-cursor sweep ([`bed_sketch::CmPbe::bursty_times_into`]).
     pub fn bursty_times(
         &self,
         event: EventId,
@@ -224,28 +207,17 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         tau: BurstSpan,
         horizon: Timestamp,
     ) -> Vec<(Timestamp, f64)> {
-        bursty_times_over(self.grid(0), event, theta, tau, horizon)
+        let mut out = Vec::new();
+        self.grid(0).bursty_times_into(
+            event,
+            theta,
+            tau,
+            horizon,
+            &mut QueryScratch::new(),
+            &mut out,
+        );
+        out
     }
-}
-
-/// Bursty-time query over a single CM-PBE (also usable without a
-/// hierarchy). Candidate instants are the knees of every cell the event
-/// maps to, plus their `+τ/+2τ` echoes (burstiness changes only when a term
-/// of Eq. 2 crosses a knee); the sweep runs through the grid's fused
-/// hinted-cursor kernel ([`CmPbe::bursty_times_into`]), which is bit-for-bit
-/// equal to filtering the candidates through
-/// [`CmPbe::estimate_burstiness`].
-pub fn bursty_times_over<P: CurveSketch>(
-    grid: &CmPbe<P>,
-    event: EventId,
-    theta: f64,
-    tau: BurstSpan,
-    horizon: Timestamp,
-) -> Vec<(Timestamp, f64)> {
-    let mut scratch = QueryScratch::new();
-    let mut out = Vec::new();
-    grid.bursty_times_into(event, theta, tau, horizon, &mut scratch, &mut out);
-    out
 }
 
 /// Bursty-time query over a bare single-stream sketch (no CM layout) — used

@@ -1,6 +1,8 @@
 //! CM-PBE: Count-Min layout with persistent burstiness estimators as cells
 //! (Section IV, Fig. 5).
 
+use std::time::Instant;
+
 use bed_pbe::kernel::CumHint;
 use bed_pbe::soa::ProbeRows;
 use bed_pbe::CurveSketch;
@@ -285,66 +287,29 @@ impl<P: CurveSketch> CmPbe<P> {
     /// by three stack medians. Pre-epoch offsets read 0, matching
     /// [`CmPbe::estimate_cum_offset`]. Bit-for-bit equal to three
     /// [`CmPbe::estimate_cum`] calls; allocation-free for `d ≤ MEDIAN_STACK`.
+    /// The untimed instance of [`CmPbe::probe3_with`].
+    #[inline]
     pub fn probe3(&self, event: EventId, t: Timestamp, tau: BurstSpan) -> [f64; 3] {
-        let d = self.depth();
-        let t1 = t.checked_sub(tau.ticks());
-        let t2 = t.checked_sub(tau.ticks().saturating_mul(2));
-        if d > MEDIAN_STACK {
-            return [
-                self.estimate_cum(event, t),
-                t1.map_or(0.0, |e| self.estimate_cum(event, e)),
-                t2.map_or(0.0, |e| self.estimate_cum(event, e)),
-            ];
-        }
-        if let Some(bank) = &self.bank {
-            // Batched SoA path: all d rows of the (t, τ) probe resolved in
-            // one `probe3_rows` pass, combined lane-wise.
-            let mut lanes = [0u32; MEDIAN_STACK];
-            for (row, lane) in lanes[..d].iter_mut().enumerate() {
-                *lane = self.cell_index(row, event) as u32;
-            }
-            let mut rows = ProbeRows::default();
-            bank.probe3_rows(&lanes[..d], t, tau, &mut rows);
-            return median_stack_rows(
-                d,
-                &mut rows.v0,
-                &mut rows.v1,
-                &mut rows.v2,
-                t1.is_some(),
-                t2.is_some(),
-            );
-        }
-        let mut v0 = [0.0f64; MEDIAN_STACK];
-        let mut v1 = [0.0f64; MEDIAN_STACK];
-        let mut v2 = [0.0f64; MEDIAN_STACK];
-        for row in 0..d {
-            let p = self.cells[self.cell_index(row, event)].probe3(t, tau);
-            v0[row] = p[0];
-            v1[row] = p[1];
-            v2[row] = p[2];
-        }
-        median_stack_rows(d, &mut v0, &mut v1, &mut v2, t1.is_some(), t2.is_some())
+        self.probe3_with::<NoClock>(event, t, tau, &mut StageTimings::default())
     }
 
-    /// [`CmPbe::probe3`] with the scratch stage clocks armed: bit-for-bit
-    /// the same three estimates, with the cell-probe and median-combine
-    /// phases timed separately and bank/scalar probes counted into
-    /// `stages`. Falls straight through to [`CmPbe::probe3`] when the
-    /// clocks are disarmed, so the untraced path pays one branch.
-    pub fn probe3_stages(
+    /// [`CmPbe::probe3`] generic over its stage [`Clock`]: one body serves
+    /// both the untimed probe (`NoClock`, every hook compiled away) and the
+    /// traced one (`StageClock`, which times the cell-probe and
+    /// median-combine phases into `stages` and counts bank/scalar probes).
+    /// The three estimates are bit-for-bit identical either way.
+    #[inline]
+    pub fn probe3_with<C: Clock>(
         &self,
         event: EventId,
         t: Timestamp,
         tau: BurstSpan,
         stages: &mut StageTimings,
     ) -> [f64; 3] {
-        if !stages.enabled {
-            return self.probe3(event, t, tau);
-        }
         let d = self.depth();
         let t1 = t.checked_sub(tau.ticks());
         let t2 = t.checked_sub(tau.ticks().saturating_mul(2));
-        let probe_t0 = std::time::Instant::now();
+        let probe_t0 = C::TIMED.then(Instant::now);
         if d > MEDIAN_STACK {
             // Deep grids fall back to the scattered per-offset estimates;
             // the medians interleave with the probes, so the whole pass is
@@ -354,59 +319,41 @@ impl<P: CurveSketch> CmPbe<P> {
                 t1.map_or(0.0, |e| self.estimate_cum(event, e)),
                 t2.map_or(0.0, |e| self.estimate_cum(event, e)),
             ];
-            stages.scalar_probes += 3 * d as u64;
-            stages.cell_probe_ns += probe_t0.elapsed().as_nanos() as u64;
+            stages.probed(probe_t0, false, 3 * d as u64);
             return r;
         }
-        if let Some(bank) = &self.bank {
-            let mut lanes = [0u32; MEDIAN_STACK];
-            for (row, lane) in lanes[..d].iter_mut().enumerate() {
-                *lane = self.cell_index(row, event) as u32;
+        let mut rows = ProbeRows::default();
+        match &self.bank {
+            // Batched SoA path: all d rows of the (t, τ) probe resolved in
+            // one `probe3_rows` pass, combined lane-wise.
+            Some(bank) => {
+                let mut lanes = [0u32; MEDIAN_STACK];
+                for (row, lane) in lanes[..d].iter_mut().enumerate() {
+                    *lane = self.cell_index(row, event) as u32;
+                }
+                bank.probe3_rows(&lanes[..d], t, tau, &mut rows);
             }
-            let mut rows = ProbeRows::default();
-            bank.probe3_rows(&lanes[..d], t, tau, &mut rows);
-            stages.bank_probes += 3 * d as u64;
-            stages.cell_probe_ns += probe_t0.elapsed().as_nanos() as u64;
-            let combine_t0 = std::time::Instant::now();
-            let r = median_stack_rows(
-                d,
-                &mut rows.v0,
-                &mut rows.v1,
-                &mut rows.v2,
-                t1.is_some(),
-                t2.is_some(),
-            );
-            stages.median_combine_ns += combine_t0.elapsed().as_nanos() as u64;
-            return r;
+            None => {
+                for row in 0..d {
+                    let p = self.cells[self.cell_index(row, event)].probe3(t, tau);
+                    rows.v0[row] = p[0];
+                    rows.v1[row] = p[1];
+                    rows.v2[row] = p[2];
+                }
+            }
         }
-        let mut v0 = [0.0f64; MEDIAN_STACK];
-        let mut v1 = [0.0f64; MEDIAN_STACK];
-        let mut v2 = [0.0f64; MEDIAN_STACK];
-        for row in 0..d {
-            let p = self.cells[self.cell_index(row, event)].probe3(t, tau);
-            v0[row] = p[0];
-            v1[row] = p[1];
-            v2[row] = p[2];
-        }
-        stages.scalar_probes += 3 * d as u64;
-        stages.cell_probe_ns += probe_t0.elapsed().as_nanos() as u64;
-        let combine_t0 = std::time::Instant::now();
-        let r = median_stack_rows(d, &mut v0, &mut v1, &mut v2, t1.is_some(), t2.is_some());
-        stages.median_combine_ns += combine_t0.elapsed().as_nanos() as u64;
+        stages.probed(probe_t0, self.bank.is_some(), 3 * d as u64);
+        let combine_t0 = C::TIMED.then(Instant::now);
+        let r = median_stack_rows(
+            d,
+            &mut rows.v0,
+            &mut rows.v1,
+            &mut rows.v2,
+            t1.is_some(),
+            t2.is_some(),
+        );
+        stages.combined(combine_t0);
         r
-    }
-
-    /// [`CmPbe::estimate_burstiness`] through [`CmPbe::probe3_stages`]:
-    /// identical value, stage clocks populated when armed.
-    pub fn estimate_burstiness_stages(
-        &self,
-        event: EventId,
-        t: Timestamp,
-        tau: BurstSpan,
-        stages: &mut StageTimings,
-    ) -> f64 {
-        let [f0, f1, f2] = self.probe3_stages(event, t, tau, stages);
-        f0 - 2.0 * f1 + f2
     }
 
     /// Estimate with an explicit row combiner — ablation hook for comparing
@@ -541,7 +488,7 @@ impl<P: CurveSketch> CmPbe<P> {
         }
         probes.clear();
         probes.resize(ncells * 3, 0.0);
-        let probe_t0 = stages.enabled.then(std::time::Instant::now);
+        let probe_t0 = stages.enabled.then(Instant::now);
         // With the SoA bank present, each per-cell probe walks the shared
         // key/coefficient arrays (one lane per cell) instead of that cell's
         // own piece structs; values are bit-identical either way.
@@ -578,17 +525,8 @@ impl<P: CurveSketch> CmPbe<P> {
                 }
             }
         }
-        if stages.enabled {
-            if self.bank.is_some() {
-                stages.bank_probes += probed;
-            } else {
-                stages.scalar_probes += probed;
-            }
-        }
-        if let Some(t0) = probe_t0 {
-            stages.cell_probe_ns += t0.elapsed().as_nanos() as u64;
-        }
-        let combine_t0 = stages.enabled.then(std::time::Instant::now);
+        stages.probed(probe_t0, self.bank.is_some(), probed);
+        let combine_t0 = stages.enabled.then(Instant::now);
         let mut v0 = [0.0f64; MEDIAN_STACK];
         let mut v1 = [0.0f64; MEDIAN_STACK];
         let mut v2 = [0.0f64; MEDIAN_STACK];
@@ -603,9 +541,7 @@ impl<P: CurveSketch> CmPbe<P> {
                 median_stack_rows(d, &mut v0, &mut v1, &mut v2, t1.is_some(), t2.is_some());
             emit(EventId(lo + i as u32), f0 - 2.0 * f1 + f2);
         }
-        if let Some(t0) = combine_t0 {
-            stages.median_combine_ns += t0.elapsed().as_nanos() as u64;
-        }
+        stages.combined(combine_t0);
     }
 
     /// Fused bursty-time kernel for one event: fills `out` with every
@@ -718,7 +654,7 @@ impl<P: CurveSketch> CmPbe<P> {
         let npos = knees.len();
         probes.clear();
         probes.resize(d * npos, 0.0);
-        let probe_t0 = stages.enabled.then(std::time::Instant::now);
+        let probe_t0 = stages.enabled.then(Instant::now);
         for row in 0..d {
             let ci = self.cell_index(row, event);
             let base = row * npos;
@@ -735,18 +671,8 @@ impl<P: CurveSketch> CmPbe<P> {
                 }
             }
         }
-        if stages.enabled {
-            let probed = (d * npos) as u64;
-            if self.bank.is_some() {
-                stages.bank_probes += probed;
-            } else {
-                stages.scalar_probes += probed;
-            }
-        }
-        if let Some(t0) = probe_t0 {
-            stages.cell_probe_ns += t0.elapsed().as_nanos() as u64;
-        }
-        let combine_t0 = stages.enabled.then(std::time::Instant::now);
+        stages.probed(probe_t0, self.bank.is_some(), (d * npos) as u64);
+        let combine_t0 = stages.enabled.then(Instant::now);
         let mut v0 = [0.0f64; MEDIAN_STACK];
         let mut v1 = [0.0f64; MEDIAN_STACK];
         let mut v2 = [0.0f64; MEDIAN_STACK];
@@ -765,9 +691,7 @@ impl<P: CurveSketch> CmPbe<P> {
                 out.push((Timestamp(tick), b));
             }
         }
-        if let Some(t0) = combine_t0 {
-            stages.median_combine_ns += t0.elapsed().as_nanos() as u64;
-        }
+        stages.combined(combine_t0);
     }
 
     /// Summary size in bytes (sum over cells; hash seeds are negligible).
@@ -1017,8 +941,9 @@ impl QueryScratch {
 /// harvests them into child spans. When disarmed — the default — the only
 /// cost is a branch on [`StageTimings::enabled`].
 ///
-/// Grids deeper than [`MEDIAN_STACK`] fall back to per-event estimation and
-/// record nothing; stage spans then simply do not appear under the root.
+/// Grids deeper than [`MEDIAN_STACK`] fall back to per-event estimation:
+/// the fused probe then attributes its whole pass to the cell-probe stage,
+/// while the batched scan and sweep kernels record nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimings {
     /// Whether the kernels should time their stages.
@@ -1027,8 +952,9 @@ pub struct StageTimings {
     pub cell_probe_ns: u64,
     /// Nanoseconds spent in cross-row median combination and emission.
     pub median_combine_ns: u64,
-    /// Nanoseconds spent in the dyadic pruned search (recorded by the
-    /// hierarchy caller, carried here so one struct reaches the root).
+    /// Nanoseconds the dyadic pruned search spent outside its block probes
+    /// (recorded by the hierarchy, carried here so one struct reaches the
+    /// root).
     pub hierarchy_prune_ns: u64,
     /// Cell probes answered by the SoA bank path (counted only while
     /// `enabled`; lets EXPLAIN name the serving path actually taken).
@@ -1045,6 +971,54 @@ impl StageTimings {
     pub fn reset(&mut self, enabled: bool) {
         *self = StageTimings { enabled, ..StageTimings::default() };
     }
+
+    /// Closes a cell-probe phase marked at `since` that ran `probes` cell
+    /// probes, on the SoA bank (`banked`) or the scalar per-cell path.
+    /// An unmarked (`None`) phase records nothing.
+    #[inline]
+    pub fn probed(&mut self, since: Option<Instant>, banked: bool, probes: u64) {
+        let Some(t0) = since else { return };
+        if banked {
+            self.bank_probes += probes;
+        } else {
+            self.scalar_probes += probes;
+        }
+        self.cell_probe_ns += t0.elapsed().as_nanos() as u64;
+    }
+
+    /// Closes a median-combine phase marked at `since`.
+    #[inline]
+    pub fn combined(&mut self, since: Option<Instant>) {
+        if let Some(t0) = since {
+            self.median_combine_ns += t0.elapsed().as_nanos() as u64;
+        }
+    }
+}
+
+/// The stage-clock policy a query kernel is compiled with. Kernels generic
+/// over it (see [`CmPbe::probe3_with`]) keep one body for the untimed and
+/// the traced path: under [`NoClock`] every phase mark is a constant
+/// `None`, so its instance is the plain kernel; under [`StageClock`] the
+/// phases are timed and the probes counted into [`StageTimings`].
+pub trait Clock {
+    /// Whether this instance reads the wall clock.
+    const TIMED: bool;
+}
+
+/// The untimed [`Clock`]: no clock reads, no counters touched.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoClock;
+
+impl Clock for NoClock {
+    const TIMED: bool = false;
+}
+
+/// The traced [`Clock`]: times each phase and counts the probes per path.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StageClock;
+
+impl Clock for StageClock {
+    const TIMED: bool = true;
 }
 
 #[cfg(test)]
@@ -1198,43 +1172,43 @@ mod tests {
     }
 
     #[test]
-    fn probe3_stages_matches_probe3_and_attributes_phases() {
+    fn probe3_with_matches_probe3_and_attributes_phases() {
         let stream = mixed_stream(40, 30);
-        let mut cm = CmPbe::with_dimensions(4, 32, 99, || {
-            Pbe2::new(Pbe2Config { gamma: 2.0, max_vertices: 16 }).unwrap()
-        });
-        for el in stream.iter() {
-            cm.update(el.event, el.ts);
-        }
         let tau = BurstSpan::new(40).unwrap();
-        let mut stages = StageTimings::default();
+        let (e, t) = (EventId(7), Timestamp(250));
+        let bits = |v: [f64; 3]| v.map(f64::to_bits);
+        // d = 4 runs the stack-median kernel; d > MEDIAN_STACK the scattered
+        // per-offset fallback.
+        for depth in [4, MEDIAN_STACK + 2] {
+            let mut cm = CmPbe::with_dimensions(depth, 32, 99, || {
+                Pbe2::new(Pbe2Config { gamma: 2.0, max_vertices: 16 }).unwrap()
+            });
+            for el in stream.iter() {
+                cm.update(el.event, el.ts);
+            }
+            let probes = 3 * depth as u64;
+            let mut stages = StageTimings::default();
 
-        // Disarmed: falls through to probe3 and leaves the clocks alone.
-        let plain = cm.probe3(EventId(7), Timestamp(250), tau);
-        assert_eq!(cm.probe3_stages(EventId(7), Timestamp(250), tau, &mut stages), plain);
-        assert_eq!(stages.scalar_probes, 0);
-        assert_eq!(stages.cell_probe_ns, 0);
+            // Untimed instance: same bits, clocks and counters untouched.
+            let plain = cm.probe3(e, t, tau);
+            assert_eq!(bits(cm.probe3_with::<NoClock>(e, t, tau, &mut stages)), bits(plain));
+            assert_eq!((stages.bank_probes, stages.scalar_probes), (0, 0));
+            assert_eq!((stages.cell_probe_ns, stages.median_combine_ns), (0, 0));
 
-        // Armed, scalar cells: same bits, probes counted per row and offset.
-        stages.reset(true);
-        let staged = cm.probe3_stages(EventId(7), Timestamp(250), tau, &mut stages);
-        assert_eq!(staged.map(f64::to_bits), plain.map(f64::to_bits));
-        assert_eq!(stages.scalar_probes, 3 * 4);
-        assert_eq!(stages.bank_probes, 0);
+            // Timed, scalar cells: same bits, probes counted per row and offset.
+            stages.reset(true);
+            assert_eq!(bits(cm.probe3_with::<StageClock>(e, t, tau, &mut stages)), bits(plain));
+            assert_eq!((stages.bank_probes, stages.scalar_probes), (0, probes), "d={depth}");
 
-        // Armed, bank built: same bits through the SoA lanes.
-        cm.finalize();
-        let banked = cm.probe3(EventId(7), Timestamp(250), tau);
-        stages.reset(true);
-        let staged = cm.probe3_stages(EventId(7), Timestamp(250), tau, &mut stages);
-        assert_eq!(staged.map(f64::to_bits), banked.map(f64::to_bits));
-        assert_eq!(stages.bank_probes, 3 * 4);
-        assert_eq!(stages.scalar_probes, 0);
-
-        // The burstiness wrapper composes the identical estimate.
-        stages.reset(true);
-        let b = cm.estimate_burstiness_stages(EventId(7), Timestamp(250), tau, &mut stages);
-        assert_eq!(b.to_bits(), cm.estimate_burstiness(EventId(7), Timestamp(250), tau).to_bits());
+            // Timed, bank built: same bits; shallow grids probe through the
+            // SoA lanes, deep ones stay on the scalar fallback.
+            cm.finalize();
+            let banked = cm.probe3(e, t, tau);
+            stages.reset(true);
+            assert_eq!(bits(cm.probe3_with::<StageClock>(e, t, tau, &mut stages)), bits(banked));
+            let want = if depth <= MEDIAN_STACK { (probes, 0) } else { (0, probes) };
+            assert_eq!((stages.bank_probes, stages.scalar_probes), want, "d={depth}");
+        }
     }
 
     #[test]

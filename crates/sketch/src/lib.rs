@@ -34,7 +34,10 @@ pub mod params;
 pub mod retention;
 
 pub use bank::CellBank;
-pub use cmpbe::{CmPbe, CmStructure, Combiner, QueryScratch, StageTimings, MEDIAN_STACK};
+pub use cmpbe::{
+    Clock, CmPbe, CmStructure, Combiner, NoClock, QueryScratch, StageClock, StageTimings,
+    MEDIAN_STACK,
+};
 pub use countmin::CountMin;
 pub use hash::HashFamily;
 pub use params::SketchParams;

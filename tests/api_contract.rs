@@ -8,9 +8,9 @@ use bed::pbe::{CurveCursor, CurveSketch, ExactCurve, Pbe1, Pbe1Config, Pbe2, Pbe
 use bed::sketch::CmPbe;
 use bed::{
     assemble_trace_tree, AnyDetector, BedError, BurstDetector, BurstQueries, BurstSpan,
-    DetectorEpochs, EventId, MetricValue, MetricsSnapshot, PbeVariant, QueryRequest, QueryScratch,
-    QueryStrategy, ShardedDetector, TimeRange, Timestamp, TraceEvent, TraceId, Traceable, Tracer,
-    TracerConfig,
+    DetectorEpochs, EventId, MetricValue, MetricsSnapshot, PbeVariant, QueryRequest, QueryResponse,
+    QueryScratch, QueryStrategy, RetentionPolicy, ShardedDetector, TimeRange, Timestamp,
+    TraceEvent, TraceId, Traceable, Tracer, TracerConfig,
 };
 use proptest::prelude::*;
 
@@ -137,36 +137,6 @@ fn nonpositive_theta_is_a_typed_error_not_a_panic() {
         .bursty_events_in_range_with(3, 3, Timestamp(0), 1.0, tau, QueryStrategy::Pruned)
         .unwrap_err();
     assert!(err.to_string().contains("inverted"), "{err}");
-}
-
-/// The deprecated aliases stay pinned to their `_with` replacements.
-#[test]
-#[allow(deprecated)]
-fn deprecated_aliases_match_their_replacements() {
-    let mut det = BurstDetector::builder().universe(8).build().unwrap();
-    for t in 0..200u64 {
-        det.ingest(EventId((t % 3) as u32), Timestamp(t)).unwrap();
-        if t >= 150 {
-            for _ in 0..6 {
-                det.ingest(EventId(5), Timestamp(t)).unwrap();
-            }
-        }
-    }
-    det.finalize();
-    let tau = BurstSpan::new(20).unwrap();
-    let t = Timestamp(199);
-    assert_eq!(
-        det.bursty_events(t, 2.0, tau).unwrap(),
-        det.bursty_events_with(t, 2.0, tau, QueryStrategy::Pruned).unwrap()
-    );
-    assert_eq!(
-        det.bursty_events_scan(t, 2.0, tau).unwrap(),
-        det.bursty_events_with(t, 2.0, tau, QueryStrategy::ExactScan).unwrap()
-    );
-    assert_eq!(
-        det.bursty_events_in_range(2, 7, t, 2.0, tau).unwrap(),
-        det.bursty_events_in_range_with(2, 7, t, 2.0, tau, QueryStrategy::Pruned).unwrap()
-    );
 }
 
 /// Builds one plain and one sharded detector over the same stream in the
@@ -674,6 +644,96 @@ proptest! {
     }
 }
 
+/// `Point` answers against the standalone estimators: burstiness, burst
+/// frequency and cumulative count must be bit-for-bit the separate
+/// `point_query`, `burst_frequency` and `cumulative_frequency` values
+/// (`standalone` returns them in that order).
+fn assert_points_are_standalone(
+    det: &dyn BurstQueries,
+    requests: &[QueryRequest],
+    standalone: impl Fn(EventId, Timestamp, BurstSpan) -> [f64; 3],
+) {
+    for &req in requests {
+        let QueryRequest::Point { event, t, tau } = req else { unreachable!("point requests") };
+        let Ok(QueryResponse::Point { burstiness, burst_frequency, cumulative, .. }) =
+            det.query(&req)
+        else {
+            panic!("no point answer for {req:?}");
+        };
+        let (got, want) = ([burstiness, burst_frequency, cumulative], standalone(event, t, tau));
+        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{req:?}: {got:?} vs {want:?}");
+    }
+}
+
+proptest! {
+    /// One fused probe answers all three `Point` numbers bit-for-bit like
+    /// the standalone estimators, on every layout — single stream, flat
+    /// grid, hierarchy, tiered retention, sharded — both mid-stream (no
+    /// SoA bank) and finalized (banked wherever the cells allow).
+    #[test]
+    fn point_answers_equal_the_standalone_estimators(
+        arrivals in prop::collection::vec((0u32..16, 0u64..8), 1..300),
+        probes in prop::collection::vec((0u32..16, 0u64..2_500), 1..12),
+        tau in 1u64..400,
+        layout in 0u8..5,
+    ) {
+        let tau = BurstSpan::new(tau).unwrap();
+        let mut now = 0u64;
+        let stream: Vec<(EventId, Timestamp)> = arrivals
+            .iter()
+            .map(|&(e, gap)| {
+                now += gap;
+                (EventId(e), Timestamp(now))
+            })
+            .collect();
+        let single = layout == 0;
+        let builder = || {
+            let b = BurstDetector::builder().variant(PbeVariant::pbe2(1.0)).seed(5);
+            match layout {
+                0 => b.single_event(),
+                1 => b.universe(16).hierarchical(false),
+                3 => b.universe(16).retention(Some(RetentionPolicy::new(64, 4, 32).unwrap())),
+                _ => b.universe(16),
+            }
+        };
+        let requests: Vec<QueryRequest> = probes
+            .iter()
+            .map(|&(e, t)| QueryRequest::Point {
+                event: EventId(if single { 0 } else { e }),
+                t: Timestamp(t),
+                tau,
+            })
+            .collect();
+        if layout == 4 {
+            let mut det = builder().shards(3).build().unwrap();
+            det.ingest_batch(&stream).unwrap();
+            let mut banked = det.clone();
+            banked.finalize();
+            for d in [&det, &banked] {
+                assert_points_are_standalone(d, &requests, |e, t, tau| {
+                    [d.point_query(e, t, tau), d.burst_frequency(e, t, tau), d.cumulative_frequency(e, t)]
+                });
+            }
+        } else {
+            let mut det = builder().build().unwrap();
+            for &(e, t) in &stream {
+                if single { det.ingest_single(t) } else { det.ingest(e, t) }.unwrap();
+            }
+            let mut banked = det.clone();
+            banked.finalize();
+            prop_assert_eq!(det.soa_bank_bytes(), 0);
+            if layout != 0 && layout != 3 {
+                prop_assert!(banked.soa_bank_bytes() > 0, "finalize must build the bank");
+            }
+            for d in [&det, &banked] {
+                assert_points_are_standalone(d, &requests, |e, t, tau| {
+                    [d.point_query(e, t, tau), d.burst_frequency(e, t, tau), d.cumulative_frequency(e, t)]
+                });
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Zero-allocation contract: after scratch warm-up, the fused kernels never
 // touch the heap. A counting global allocator makes the claim checkable.
@@ -856,6 +916,9 @@ fn epoch_metrics_openmetrics_is_golden() {
     assert!(om.contains("bed_epoch_generation 2\n"), "{om}");
     assert!(om.contains("# TYPE bed_epoch_publish_latency_ns histogram\n"), "{om}");
     assert!(om.contains("bed_epoch_publish_latency_ns_count 2\n"), "{om}");
+    // ...plus the query families its views count and time.
+    assert!(om.contains("bed_query_point_count_total 0\n"), "{om}");
+    assert!(om.contains("# TYPE bed_query_bursty_events_latency_ns histogram\n"), "{om}");
     assert!(om.ends_with("# EOF\n"), "{om}");
 }
 
