@@ -115,42 +115,6 @@ fn bench_ingest(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ingest cost of the always-on observability layer: the same hierarchical
-/// detector with metrics enabled (the default) vs disabled. The enabled
-/// path adds one relaxed `fetch_add` per ingest plus a 1-in-64 sampled
-/// timer, so the two curves should sit within a few percent of each other;
-/// a regression here means something slipped onto the hot path.
-fn bench_metrics_overhead(c: &mut Criterion) {
-    let els = workload();
-    let mut g = c.benchmark_group("metrics_overhead");
-    g.throughput(Throughput::Elements(els.len() as u64));
-    for (name, on) in [("metrics_on", true), ("metrics_off", false)] {
-        g.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    BurstDetector::builder()
-                        .universe(1_024)
-                        .variant(PbeVariant::pbe2(8.0))
-                        .accuracy(0.01, 0.05)
-                        .seed(7)
-                        .metrics(on)
-                        .build()
-                        .unwrap()
-                },
-                |mut det| {
-                    for &(e, t) in &els {
-                        det.ingest(e, t).unwrap();
-                    }
-                    det.finalize();
-                    det.arrivals()
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    g.finish();
-}
-
 /// A 1M-arrival Zipf(1.1) stream over 1024 events — the heavy-tailed
 /// mixed workload the sharding layer targets.
 fn zipf_workload(n: u64, universe: u32) -> Vec<(EventId, Timestamp)> {
@@ -195,6 +159,6 @@ fn bench_ingest_sharded(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_ingest, bench_metrics_overhead, bench_ingest_sharded
+    targets = bench_ingest, bench_ingest_sharded
 }
 criterion_main!(benches);

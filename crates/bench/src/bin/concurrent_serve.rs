@@ -15,8 +15,8 @@ use std::time::Duration;
 
 use bed_bench::{env_scale, print_table};
 use bed_core::{
-    AnyDetector, BurstQueries, CheckpointPolicy, DetectorEpochs, EpochPublisher, PbeVariant,
-    QueryRequest, QueryStrategy, ShardedDetector,
+    AnyDetector, BurstDetector, BurstQueries, CheckpointPolicy, DetectorEpochs, EpochPublisher,
+    PbeVariant, QueryRequest, QueryStrategy,
 };
 use bed_stream::{BurstSpan, EventId, Timestamp};
 use bed_workload::{olympics, OlympicsConfig};
@@ -30,11 +30,12 @@ fn cadence() -> u64 {
 /// One run: returns (ingest wall time, total reader queries answered).
 fn run(els: &[(EventId, Timestamp)], readers: usize, cadence: u64) -> (Duration, u64) {
     let mut det = AnyDetector::Sharded(
-        ShardedDetector::builder(4)
+        BurstDetector::builder()
             .universe(864)
             .variant(PbeVariant::pbe2(8.0))
             .accuracy(0.005, 0.02)
             .seed(42)
+            .shards(4)
             .build()
             .unwrap(),
     );

@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use bed_bench::{env_scale, print_table};
 use bed_core::{
-    AnyDetector, BurstQueries, DetectorEpochs, EventSink, PbeVariant, QueryRequest, ShardedDetector,
+    AnyDetector, BurstDetector, BurstQueries, DetectorEpochs, EventSink, PbeVariant, QueryRequest,
 };
 use bed_stream::{BurstSpan, EventId, Timestamp};
 use bed_workload::Zipf;
@@ -52,11 +52,12 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     for shards in [1usize, 2, 4, 8] {
         let mut det = AnyDetector::Sharded(
-            ShardedDetector::builder(shards)
+            BurstDetector::builder()
                 .universe(UNIVERSE)
                 .variant(PbeVariant::pbe2(8.0))
                 .accuracy(0.005, 0.02)
                 .seed(7)
+                .shards(shards)
                 .build()
                 .unwrap(),
         );

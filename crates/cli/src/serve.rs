@@ -1362,13 +1362,16 @@ mod tests {
             ("top_k", "kind=top_k&event=2&k=3&tau=40&horizon=299"),
         ];
         const N: u64 = 3;
+        const PROBES: &str = "bed_query_stats_point_queries_total";
         for shards in [1, 2] {
             with_server(&input, &flags(shards), &opts(256), |addr| {
                 wait_ready(addr);
                 wait_drained(addr);
                 for (kind, params) in queries {
                     let family = format!("bed_query_{kind}_latency_ns_count");
-                    let before = metric_value(&get(addr, "/metrics").1, &family);
+                    let scrape = get(addr, "/metrics").1;
+                    let before = metric_value(&scrape, &family);
+                    let probes_before = metric_value(&scrape, PROBES);
                     for _ in 0..N {
                         let (head, body) = get(addr, &format!("/query?{params}"));
                         assert!(head.starts_with("HTTP/1.1 200"), "{head} {body}");
@@ -1379,8 +1382,12 @@ mod tests {
                         assert_eq!(tree.matches("\"name\":\"query.").count(), 1, "{tree}");
                         assert!(tree.contains(&format!("\"name\":\"query.{kind}\"")), "{tree}");
                     }
-                    let after = metric_value(&get(addr, "/metrics").1, &family);
+                    let scrape = get(addr, "/metrics").1;
+                    let after = metric_value(&scrape, &family);
                     assert_eq!(after - before, N, "{family} with {shards} shard(s)");
+                    // the views read each bursty-event answer's probe stats
+                    let probes = metric_value(&scrape, PROBES) - probes_before;
+                    assert_eq!(probes > 0, kind == "bursty_events", "{PROBES} after {kind}");
                 }
             });
         }

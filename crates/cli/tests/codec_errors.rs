@@ -7,10 +7,13 @@ use std::path::PathBuf;
 
 use bed_cli::{run, CliError};
 
-fn scratch() -> PathBuf {
+/// A fresh directory per test: the tests run in parallel, so each one
+/// wipes and fills only its own `test` subdirectory.
+fn scratch(test: &str) -> PathBuf {
     let dir = std::env::temp_dir()
         .join("bed-cli-codec-errors")
-        .join(format!("pid-{}", std::process::id()));
+        .join(format!("pid-{}", std::process::id()))
+        .join(test);
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
@@ -46,7 +49,7 @@ fn expect_codec_err(path: &std::path::Path) {
 
 #[test]
 fn info_rejects_damaged_sketches_with_typed_errors() {
-    let dir = scratch();
+    let dir = scratch("info");
     let good = build_sample(&dir);
     let bytes = fs::read(&good).unwrap();
 
@@ -89,7 +92,7 @@ fn info_rejects_damaged_sketches_with_typed_errors() {
 
 #[test]
 fn error_text_names_the_corruption() {
-    let dir = scratch();
+    let dir = scratch("error-text");
     let good = build_sample(&dir);
     let mut bytes = fs::read(&good).unwrap();
     bytes[..4].copy_from_slice(b"ZZZZ");

@@ -879,7 +879,7 @@ mod tests {
     fn snapshot_roundtrip_all_layouts() {
         let plain = AnyDetector::Plain(Box::new(small_detector(100)));
         let sharded = {
-            let mut d = ShardedDetector::builder(3).universe(8).seed(7).build().unwrap();
+            let mut d = BurstDetector::builder().universe(8).seed(7).shards(3).build().unwrap();
             d.ingest_batch(&[(EventId(1), Timestamp(0)), (EventId(2), Timestamp(5))]).unwrap();
             AnyDetector::Sharded(d)
         };

@@ -78,12 +78,6 @@ pub struct DetectorConfig {
     pub hierarchical: bool,
     /// Seed for all hash functions.
     pub seed: u64,
-    /// Collect runtime metrics (counters, latency histograms; see
-    /// [`crate::BurstDetector::metrics`]). On by default — the hot-path cost
-    /// is one relaxed atomic add per ingest plus a sampled timer — and
-    /// runtime-only: the flag is not persisted by the codec, so a decoded
-    /// detector always starts with metrics on.
-    pub metrics: bool,
     /// Tiered retention policy (`None` = unbounded full-resolution
     /// history). When set, the detector folds live PBE state into frozen
     /// Hokusai-style tiers every `compact_every` arrivals, bounding memory
@@ -100,7 +94,6 @@ impl Default for DetectorConfig {
             universe: None,
             hierarchical: true,
             seed: 0xBED,
-            metrics: true,
             retention: None,
         }
     }
@@ -122,21 +115,10 @@ pub(crate) fn validate_retention(p: &RetentionPolicy) -> Result<(), StreamError>
 }
 
 impl DetectorConfig {
-    /// Structural equality for persistence purposes: every field that
-    /// shapes the summary (the runtime-only `metrics` flag is ignored).
-    pub fn same_shape(&self, other: &DetectorConfig) -> bool {
-        self.variant == other.variant
-            && self.sketch == other.sketch
-            && self.universe == other.universe
-            && self.hierarchical == other.hierarchical
-            && self.seed == other.seed
-            && self.retention == other.retention
-    }
-
-    /// Human-readable diff of the persistence-relevant fields, one
-    /// `field: self vs other` clause per mismatch; `None` when the shapes
-    /// match. Powers the `bed restore` config-mismatch error, so a user
-    /// sees *which* knob diverged instead of a mixed-state detector.
+    /// Human-readable diff of the configurations, one `field: self vs
+    /// other` clause per mismatch; `None` when they match. Powers the `bed
+    /// restore` config-mismatch error, so a user sees *which* knob diverged
+    /// instead of a mixed-state detector.
     pub fn diff(&self, other: &DetectorConfig) -> Option<String> {
         let mut clauses = Vec::new();
         if self.variant != other.variant {
@@ -179,9 +161,7 @@ impl DetectorConfig {
 /// Persistence of the summary-shaping configuration. The field order is
 /// exactly the `BEDD` v1 header layout (variant, ε, δ, universe,
 /// hierarchy, seed, retention), so [`crate::BurstDetector`]'s codec and
-/// the WAL header share one definition and stay byte-compatible. The
-/// runtime-only `metrics` flag is not persisted; decoded configs default
-/// it on.
+/// the WAL header share one definition and stay byte-compatible.
 impl bed_stream::Codec for DetectorConfig {
     fn encode(&self, w: &mut bed_stream::codec::Writer) {
         self.variant.encode(w);
@@ -227,15 +207,7 @@ impl bed_stream::Codec for DetectorConfig {
             1 => Some(RetentionPolicy::decode(r)?),
             _ => return Err(CodecError::Invalid { context: "config retention flag" }),
         };
-        Ok(DetectorConfig {
-            variant,
-            sketch,
-            universe,
-            hierarchical,
-            seed,
-            metrics: true,
-            retention,
-        })
+        Ok(DetectorConfig { variant, sketch, universe, hierarchical, seed, retention })
     }
 }
 

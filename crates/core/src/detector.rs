@@ -60,6 +60,8 @@ fn burstiness([f0, f1, f2]: [f64; 3]) -> f64 {
 /// *bursty time*, and *bursty event* queries about any moment of the past.
 ///
 /// Construct via [`BurstDetector::builder`]; see the crate-level example.
+/// A clone answers identically, but its runtime metrics restart: it keeps
+/// `ingest.count` and the installed tracer, nothing else.
 #[derive(Debug, Clone)]
 pub struct BurstDetector {
     config: DetectorConfig,
@@ -101,7 +103,7 @@ impl BurstDetector {
                 config.variant.make_cell()
             })?),
         };
-        let metrics = DetectorMetrics::new(config.metrics);
+        let metrics = DetectorMetrics::new();
         Ok(BurstDetector { config, backend, last_ts: None, metrics, compactions: 0 })
     }
 
@@ -214,13 +216,13 @@ impl BurstDetector {
     /// Flushes internal buffering; queries are valid before and after, but
     /// `size_bytes` reflects the final summary only afterwards.
     pub fn finalize(&mut self) {
-        let started = self.metrics.finalize_begin();
+        let started = std::time::Instant::now();
         match &mut self.backend {
             Backend::Single(pbe) => pbe.finalize(),
             Backend::Flat(grid) => grid.finalize(),
             Backend::Hierarchical(forest) => forest.finalize(),
         }
-        self.metrics.finalize_end(started);
+        self.metrics.finalize_observe(started.elapsed());
     }
 
     /// The three Eq. 2 probes `[F̃_e(t), F̃_e(t−τ), F̃_e(t−2τ)]` of one
@@ -430,7 +432,6 @@ impl BurstDetector {
             _ => self.scan_range(lo, hi, t, theta, tau, scratch),
         };
         sort_hits(&mut hits);
-        self.metrics.record_query_stats(&stats);
         Ok((hits, stats))
     }
 
@@ -579,9 +580,7 @@ impl BurstDetector {
     /// Captures a [`MetricsSnapshot`] of runtime counters and latency
     /// histograms, refreshing the structural gauges (summary sizes, sketch
     /// fill, forest occupancy) from the backend first. See the crate docs
-    /// for the metric name schema. With metrics disabled
-    /// ([`BurstDetectorBuilder::metrics`]) the snapshot still exists but
-    /// every counter is frozen at zero.
+    /// for the metric name schema.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.set_gauge("detector.arrivals", self.arrivals() as f64);
         self.metrics.set_gauge("structure.bytes", self.size_bytes() as f64);
@@ -603,7 +602,6 @@ impl BurstDetector {
             }
         }
         self.refresh_retention_gauges();
-        self.metrics.refresh_prune_ratio();
         self.metrics.snapshot()
     }
 
@@ -695,9 +693,9 @@ impl BurstDetector {
 
     /// Routes one [`QueryRequest`] (validation already uniform per the
     /// [`BurstQueries`] contract), threading `scratch` through the fused
-    /// kernels. Uninstrumented: the outermost query layer counts and
-    /// traces (see [`crate::observe`]), so shards and published epochs
-    /// answer through this directly.
+    /// kernels. Touches no metric: the outermost query layer counts,
+    /// traces and reads the answer's statistics (see [`crate::observe`]),
+    /// so shards and published epochs answer through this directly.
     pub(crate) fn dispatch(
         &self,
         request: &QueryRequest,
@@ -709,11 +707,8 @@ impl BurstDetector {
                 // Under retention the probe is served by the finest tier
                 // covering `t` relative to the ingest watermark; stamp it
                 // so callers can judge the answer's resolution.
-                let tier = self.config.retention.map(|p| {
-                    let tier = p.tier_of(t.ticks(), self.last_ts.map_or(0, Timestamp::ticks));
-                    self.metrics.count_tier_query(tier);
-                    tier
-                });
+                let now = self.last_ts.map_or(0, Timestamp::ticks);
+                let tier = self.config.retention.map(|p| p.tier_of(t.ticks(), now));
                 let f = self.probe3(event, t, tau, &mut scratch.stages);
                 Ok(QueryResponse::Point {
                     burstiness: burstiness(f),
@@ -829,13 +824,6 @@ impl BurstDetectorBuilder {
         self
     }
 
-    /// Enables/disables runtime metric collection (default on; see
-    /// [`BurstDetector::metrics`]).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.config.metrics = on;
-        self
-    }
-
     /// Sets the tiered retention policy (`None` = unbounded history, the
     /// default). With a policy, live PBE state folds into frozen
     /// Hokusai-style tiers every `compact_every` arrivals, bounding
@@ -929,8 +917,6 @@ impl bed_stream::Codec for BurstDetector {
         use bed_stream::CodecError;
         r.magic(*b"BEDD")?;
         r.version(1)?;
-        // `metrics` is runtime-only and deliberately not part of the BEDD
-        // format; decoded detectors always start with collection on.
         let config = crate::config::DetectorConfig::decode(r)?;
         let (universe, hierarchical) = (config.universe, config.hierarchical);
         let last_ts = match r.u8("detector last_ts flag")? {
@@ -955,7 +941,9 @@ impl bed_stream::Codec for BurstDetector {
         if !consistent {
             return Err(CodecError::Invalid { context: "backend/config mismatch" });
         }
-        let metrics = DetectorMetrics::new(true);
+        // Metrics are runtime-only and not part of the BEDD format: a
+        // decoded detector starts fresh, like a clone.
+        let metrics = DetectorMetrics::new();
         let det = BurstDetector { config, backend, last_ts, metrics, compactions };
         det.metrics.seed_ingests(det.arrivals());
         Ok(det)
@@ -1019,6 +1007,39 @@ mod tests {
         let times = det.bursty_times(EventId(1), 50.0, tau, Timestamp(200));
         assert!(!times.is_empty());
         assert!(times.iter().all(|&(t, _)| (85..=130).contains(&t.ticks())));
+    }
+
+    #[test]
+    fn a_clone_restarts_its_metrics_but_keeps_ingest_count() {
+        let mut det =
+            BurstDetector::builder().universe(8).variant(PbeVariant::pbe2(1.0)).build().unwrap();
+        burst_fixture(&mut det);
+        let tau = BurstSpan::new(10).unwrap();
+        det.query(&QueryRequest::Point { event: EventId(1), t: Timestamp(99), tau }).unwrap();
+        let before = det.metrics();
+        assert_eq!(before.counter("query.point.count"), Some(1));
+
+        let mut clone = det.clone();
+        let snap = clone.metrics();
+        assert_eq!(snap.counter("ingest.count"), before.counter("ingest.count"));
+        for kind in crate::query::QueryKind::ALL {
+            assert_eq!(snap.counter(kind.count_metric()), Some(0), "{kind:?}");
+            assert_eq!(snap.histogram(kind.latency_metric()).unwrap().count, 0, "{kind:?}");
+        }
+        assert_eq!(snap.histogram("finalize.latency_ns").unwrap().count, 0);
+
+        clone.ingest(EventId(2), Timestamp(100)).unwrap();
+        clone.query(&QueryRequest::Point { event: EventId(2), t: Timestamp(100), tau }).unwrap();
+        let after = det.metrics();
+        for (name, value) in before.iter() {
+            if let bed_obs::MetricValue::Counter(n) = value {
+                assert_eq!(after.counter(name), Some(*n), "{name} moved on the original");
+            }
+        }
+        assert_eq!(
+            clone.metrics().counter("ingest.count"),
+            before.counter("ingest.count").map(|n| n + 1)
+        );
     }
 
     #[test]

@@ -287,7 +287,7 @@ impl DetectorEpochs {
             config: *det.config(),
             layout_shards: det.layout_shards(),
             cells: (0..n).map(|_| SnapshotCell::new()).collect(),
-            metrics: EpochMetrics::new(det.config().metrics),
+            metrics: EpochMetrics::new(),
         }
     }
 
@@ -625,11 +625,12 @@ mod tests {
 
     fn sharded(n: usize) -> AnyDetector {
         AnyDetector::Sharded(
-            crate::ShardedDetector::builder(n)
+            BurstDetector::builder()
                 .universe(8)
                 .variant(PbeVariant::pbe2(1.0))
                 .accuracy(0.01, 0.05)
                 .seed(7)
+                .shards(n)
                 .build()
                 .unwrap(),
         )

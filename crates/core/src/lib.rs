@@ -46,16 +46,20 @@
 //!
 //! ## Observability
 //!
-//! Every detector collects runtime metrics by default (disable with
-//! `.metrics(false)`) through the zero-dependency `bed-obs` crate, exposed
-//! as [`MetricsSnapshot`] via `detector.metrics()`. The name schema:
+//! Every detector always collects runtime metrics through the
+//! zero-dependency `bed-obs` crate, exposed as [`MetricsSnapshot`] via
+//! `detector.metrics()`. Query families are counted by the outermost
+//! [`BurstQueries`] layer a query enters; a decoded or cloned detector
+//! restarts its metrics, keeping only `ingest.count`. The name schema:
 //!
 //! * `ingest.count` / `ingest.errors` / `ingest.latency_ns` (sampled 1-in-64)
 //! * `finalize.latency_ns`
 //! * `query.<kind>.count` / `query.<kind>.latency_ns` for each of `point`,
 //!   `bursty_times`, `bursty_events`, `series`, `top_k`, plus `query.errors`
-//! * `query.stats.{point_queries,pruned_subtrees,leaves_probed}` counters and
-//!   the derived `query.stats.prune_ratio` gauge
+//! * `query.stats.{point_queries,pruned_subtrees,leaves_probed}` counters
+//!   read off bursty-event answers, and the derived `query.stats.prune_ratio`
+//!   gauge
+//! * `retention.tier<k>.queries`: point answers served by retention tier `k`
 //! * `structure.*` gauges refreshed at snapshot time: `structure.bytes`,
 //!   `detector.arrivals`, `structure.pbe.{pieces,buffered}` (single mode),
 //!   `structure.cmpbe.{depth,width,occupied_cells,fill_ratio,`

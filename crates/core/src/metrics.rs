@@ -6,56 +6,49 @@
 //! 1-in-[`INGEST_SAMPLE_EVERY`] — two `Instant::now()` calls per sketch
 //! update would dominate the update itself — while query latency is timed
 //! on every call (queries are orders of magnitude rarer).
+//!
+//! Every metric has one owner and is always on. A cloned detector gets
+//! fresh metrics: it keeps only `ingest.count` and the shared tracer, so a
+//! published epoch clone never copies, and never writes, its source's
+//! registry.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use bed_hierarchy::QueryStats;
 use bed_obs::{ActiveTrace, Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceId, Tracer};
 
+use crate::error::BedError;
 use crate::observe::span_for;
-use crate::query::QueryKind;
+use crate::query::{QueryKind, QueryResponse};
 
 /// Ingest latency is recorded on one ingest out of this many (power of two).
 pub(crate) const INGEST_SAMPLE_EVERY: u64 = 64;
 
+/// Retention tiers a point answer can carry: `RetentionPolicy::tier_of`
+/// is at most `ilog2(u64::MAX) + 1 = 64`.
+const TIERS: usize = 65;
+
 /// Runtime metrics of one [`crate::BurstDetector`].
-///
-/// Not `Copy`/auto-`Clone`: cloning deep-copies the registry so the clone's
-/// counters continue from the same values on independent storage.
 #[derive(Debug)]
 pub(crate) struct DetectorMetrics {
-    enabled: bool,
     registry: MetricsRegistry,
     ingest_count: Arc<Counter>,
     ingest_errors: Arc<Counter>,
     ingest_latency: Arc<Histogram>,
     finalize_latency: Arc<Histogram>,
     pub(crate) queries: QueryInstruments,
-    point_queries: Arc<Counter>,
-    pruned_subtrees: Arc<Counter>,
-    leaves_probed: Arc<Counter>,
     compact_latency: Arc<Histogram>,
 }
 
 impl DetectorMetrics {
-    pub(crate) fn new(enabled: bool) -> Self {
-        Self::from_registry(MetricsRegistry::new(), enabled)
-    }
-
-    /// Fetches (registering if absent) every handle from `registry` — the
-    /// one constructor, so a deep clone re-binds to identical names.
-    fn from_registry(registry: MetricsRegistry, enabled: bool) -> Self {
+    pub(crate) fn new() -> Self {
+        let registry = MetricsRegistry::new();
         DetectorMetrics {
-            enabled,
             ingest_count: registry.counter("ingest.count"),
             ingest_errors: registry.counter("ingest.errors"),
             ingest_latency: registry.histogram("ingest.latency_ns"),
             finalize_latency: registry.histogram("finalize.latency_ns"),
-            queries: QueryInstruments::new(&registry, enabled),
-            point_queries: registry.counter("query.stats.point_queries"),
-            pruned_subtrees: registry.counter("query.stats.pruned_subtrees"),
-            leaves_probed: registry.counter("query.stats.leaves_probed"),
+            queries: QueryInstruments::new(&registry),
             compact_latency: registry.histogram("retention.compact.latency_ns"),
             registry,
         }
@@ -65,9 +58,6 @@ impl DetectorMetrics {
     /// ones. The unconditional cost is a single relaxed `fetch_add`.
     #[inline]
     pub(crate) fn ingest_begin(&self) -> Option<Instant> {
-        if !self.enabled {
-            return None;
-        }
         let n = self.ingest_count.inc_fetch();
         n.is_multiple_of(INGEST_SAMPLE_EVERY).then(Instant::now)
     }
@@ -75,9 +65,6 @@ impl DetectorMetrics {
     /// Closes an ingest attempt opened by [`Self::ingest_begin`].
     #[inline]
     pub(crate) fn ingest_end(&self, started: Option<Instant>, ok: bool) {
-        if !self.enabled {
-            return;
-        }
         if !ok {
             self.ingest_errors.inc();
         }
@@ -86,32 +73,14 @@ impl DetectorMetrics {
         }
     }
 
-    /// Starts timing a `finalize` (cold path, always timed).
-    pub(crate) fn finalize_begin(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    pub(crate) fn finalize_end(&self, started: Option<Instant>) {
-        if let Some(t0) = started {
-            self.finalize_latency.observe(t0.elapsed());
-        }
+    /// Times one `finalize` (cold path, always timed).
+    pub(crate) fn finalize_observe(&self, elapsed: std::time::Duration) {
+        self.finalize_latency.observe(elapsed);
     }
 
     /// Times one retention compaction pass over the tiered cells.
     pub(crate) fn compact_observe(&self, elapsed: std::time::Duration) {
-        if self.enabled {
-            self.compact_latency.observe(elapsed);
-        }
-    }
-
-    /// Accumulates probe statistics of a bursty-event search.
-    pub(crate) fn record_query_stats(&self, stats: &QueryStats) {
-        if !self.enabled {
-            return;
-        }
-        self.point_queries.add(stats.point_queries as u64);
-        self.pruned_subtrees.add(stats.pruned_subtrees as u64);
-        self.leaves_probed.add(stats.leaves_probed as u64);
+        self.compact_latency.observe(elapsed);
     }
 
     /// Seeds `ingest.count` from persisted state (a decoded sketch has
@@ -122,43 +91,21 @@ impl DetectorMetrics {
 
     /// Refreshes a structural gauge (cold path; registers on first use).
     pub(crate) fn set_gauge(&self, name: &str, value: f64) {
-        if self.enabled {
-            self.registry.gauge(name).set(value);
-        }
-    }
-
-    /// Counts one point query served by retention tier `tier`. Registers
-    /// on first use — point queries are orders of magnitude rarer than
-    /// ingests, so the registry lookup is affordable, and detectors
-    /// without a retention policy never reach this path.
-    pub(crate) fn count_tier_query(&self, tier: u32) {
-        if self.enabled {
-            self.registry.counter(&format!("retention.tier{tier}.queries")).inc();
-        }
-    }
-
-    /// Derived pruning effectiveness: subtrees skipped per subtree visited.
-    pub(crate) fn refresh_prune_ratio(&self) {
-        if !self.enabled {
-            return;
-        }
-        let pruned = self.pruned_subtrees.get() as f64;
-        let probed = self.leaves_probed.get() as f64;
-        if pruned + probed > 0.0 {
-            self.registry.gauge("query.stats.prune_ratio").set(pruned / (pruned + probed));
-        }
+        self.registry.gauge(name).set(value);
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        self.queries.sync(&self.registry);
         self.registry.snapshot()
     }
 }
 
 impl Clone for DetectorMetrics {
+    /// Fresh metrics that keep only `ingest.count` and the tracer: the
+    /// clone's queries and latencies are its own from the start.
     fn clone(&self) -> Self {
-        let mut clone = Self::from_registry(self.registry.deep_clone(), self.enabled);
-        // The tracer is deliberately shared, not deep-cloned: spans from a
-        // clone belong to the same diagnostic surface.
+        let mut clone = Self::new();
+        clone.seed_ingests(self.ingest_count.get());
         clone.queries.set_tracer(Arc::clone(self.queries.tracer()));
         clone
     }
@@ -167,27 +114,38 @@ impl Clone for DetectorMetrics {
 /// The query instrumentation owned by the outermost
 /// [`crate::BurstQueries`] layer — a detector, the sharded facade, or the
 /// epoch publication surface: per-kind query counts and latency
-/// histograms, the error counter, and the tracer that opens each query's
-/// root span. [`crate::observe::run_query`] drives it; inner layers never
-/// touch theirs, so every query is counted and traced exactly once.
+/// histograms, the error counter, the statistics read off each answer
+/// (`query.stats.*` from bursty-event searches, `retention.tier<k>.queries`
+/// from point answers), and the tracer that opens each query's root span.
+/// [`crate::observe::run_query`] drives it; inner layers never touch
+/// theirs, so every query is counted and traced exactly once.
 #[derive(Debug)]
 pub(crate) struct QueryInstruments {
-    enabled: bool,
     count: [Arc<Counter>; QueryKind::ALL.len()],
     errors: Arc<Counter>,
     latency: [Arc<Histogram>; QueryKind::ALL.len()],
+    point_queries: Arc<Counter>,
+    pruned_subtrees: Arc<Counter>,
+    leaves_probed: Arc<Counter>,
+    /// Point answers per serving retention tier. Registered as
+    /// `retention.tier<k>.queries` by [`Self::sync`] once nonzero, so
+    /// detectors without retention export no tier families and the
+    /// per-query cost is one relaxed add.
+    tier_queries: [Counter; TIERS],
     tracer: Arc<Tracer>,
 }
 
 impl QueryInstruments {
-    /// Binds the `query.*` families in `registry` (registering them if
-    /// absent, so a deep-cloned registry re-binds to the same names).
-    pub(crate) fn new(registry: &MetricsRegistry, enabled: bool) -> Self {
+    /// Binds the `query.*` families in `registry`.
+    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
         QueryInstruments {
-            enabled,
             count: QueryKind::ALL.map(|k| registry.counter(k.count_metric())),
             errors: registry.counter("query.errors"),
             latency: QueryKind::ALL.map(|k| registry.histogram(k.latency_metric())),
+            point_queries: registry.counter("query.stats.point_queries"),
+            pruned_subtrees: registry.counter("query.stats.pruned_subtrees"),
+            leaves_probed: registry.counter("query.stats.leaves_probed"),
+            tier_queries: [const { Counter::new() }; TIERS],
             tracer: Arc::new(Tracer::disabled()),
         }
     }
@@ -211,28 +169,56 @@ impl QueryInstruments {
 
     /// Counts one query of `kind` and starts its latency timer.
     #[inline]
-    pub(crate) fn begin(&self, kind: QueryKind) -> Option<Instant> {
-        if !self.enabled {
-            return None;
-        }
+    pub(crate) fn begin(&self, kind: QueryKind) -> Instant {
         self.count[kind.index()].inc();
-        Some(Instant::now())
+        Instant::now()
     }
 
-    /// Closes a query opened by [`Self::begin`]. A nonzero `trace_id` is
-    /// pinned as the latency bucket's OpenMetrics exemplar, pointing the
-    /// bucket at an inspectable trace.
+    /// Closes a query opened by [`Self::begin`]: records its latency (a
+    /// nonzero `trace_id` is pinned as the bucket's OpenMetrics exemplar,
+    /// pointing the bucket at an inspectable trace), counts an error, or
+    /// reads the answer's statistics.
     #[inline]
-    pub(crate) fn end(&self, kind: QueryKind, started: Option<Instant>, ok: bool, trace_id: u64) {
-        if !self.enabled {
-            return;
+    pub(crate) fn end(
+        &self,
+        kind: QueryKind,
+        started: Instant,
+        result: &Result<QueryResponse, BedError>,
+        trace_id: u64,
+    ) {
+        let ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.latency[kind.index()].record_ns_exemplar(ns, trace_id);
+        match result {
+            Err(_) => self.errors.inc(),
+            Ok(QueryResponse::Point { tier: Some(tier), .. }) => {
+                self.tier_queries[*tier as usize].inc();
+            }
+            Ok(QueryResponse::BurstyEvents { stats, .. }) => {
+                self.point_queries.add(stats.point_queries as u64);
+                self.pruned_subtrees.add(stats.pruned_subtrees as u64);
+                self.leaves_probed.add(stats.leaves_probed as u64);
+            }
+            Ok(_) => {}
         }
-        if !ok {
-            self.errors.inc();
+    }
+
+    /// Publishes the derived readings into `registry` before a snapshot
+    /// (cold path): the per-tier point-answer counts and the pruning
+    /// effectiveness `query.stats.prune_ratio` (subtrees skipped per
+    /// subtree visited). Both appear only once this layer has recorded
+    /// something, so a sharded rollup — which sums gauges — never adds
+    /// the facade's ratio to idle shards' ones.
+    fn sync(&self, registry: &MetricsRegistry) {
+        for (k, c) in self.tier_queries.iter().enumerate() {
+            let n = c.get();
+            if n > 0 {
+                registry.counter(&format!("retention.tier{k}.queries")).set(n);
+            }
         }
-        if let Some(t0) = started {
-            let ns = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.latency[kind.index()].record_ns_exemplar(ns, trace_id);
+        let pruned = self.pruned_subtrees.get() as f64;
+        let probed = self.leaves_probed.get() as f64;
+        if pruned + probed > 0.0 {
+            registry.gauge("query.stats.prune_ratio").set(pruned / (pruned + probed));
         }
     }
 }
@@ -241,7 +227,6 @@ impl QueryInstruments {
 /// and the queries the facade answers — what no single shard observes.
 #[derive(Debug)]
 pub(crate) struct ShardMetrics {
-    enabled: bool,
     registry: MetricsRegistry,
     batches: Arc<Counter>,
     batch_elements: Arc<Counter>,
@@ -253,52 +238,44 @@ pub(crate) struct ShardMetrics {
 }
 
 impl ShardMetrics {
-    pub(crate) fn new(enabled: bool) -> Self {
-        Self::from_registry(MetricsRegistry::new(), enabled)
-    }
-
-    fn from_registry(registry: MetricsRegistry, enabled: bool) -> Self {
+    pub(crate) fn new() -> Self {
+        let registry = MetricsRegistry::new();
         ShardMetrics {
-            enabled,
             batches: registry.counter("shard.batch.count"),
             batch_elements: registry.counter("shard.batch.elements"),
             batch_latency: registry.histogram("shard.batch.latency_ns"),
-            queries: Box::new(QueryInstruments::new(&registry, enabled)),
+            queries: Box::new(QueryInstruments::new(&registry)),
             registry,
         }
     }
 
     /// Starts timing one `ingest_batch` call of `len` elements.
-    pub(crate) fn batch_begin(&self, len: usize) -> Option<Instant> {
-        if !self.enabled {
-            return None;
-        }
+    pub(crate) fn batch_begin(&self, len: usize) -> Instant {
         self.batches.inc();
         self.batch_elements.add(len as u64);
-        Some(Instant::now())
+        Instant::now()
     }
 
-    pub(crate) fn batch_end(&self, started: Option<Instant>) {
-        if let Some(t0) = started {
-            self.batch_latency.observe(t0.elapsed());
-        }
+    pub(crate) fn batch_end(&self, started: Instant) {
+        self.batch_latency.observe(started.elapsed());
     }
 
     /// Refreshes a facade-level gauge (cold path).
     pub(crate) fn set_gauge(&self, name: &str, value: f64) {
-        if self.enabled {
-            self.registry.gauge(name).set(value);
-        }
+        self.registry.gauge(name).set(value);
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        self.queries.sync(&self.registry);
         self.registry.snapshot()
     }
 }
 
 impl Clone for ShardMetrics {
+    /// Fresh facade metrics sharing only the tracer (see
+    /// [`DetectorMetrics`]' clone).
     fn clone(&self) -> Self {
-        let mut clone = Self::from_registry(self.registry.deep_clone(), self.enabled);
+        let mut clone = Self::new();
         clone.queries.set_tracer(Arc::clone(self.queries.tracer()));
         clone
     }
@@ -384,13 +361,13 @@ pub(crate) struct EpochMetrics {
 }
 
 impl EpochMetrics {
-    pub(crate) fn new(enabled: bool) -> Self {
+    pub(crate) fn new() -> Self {
         let registry = MetricsRegistry::new();
         EpochMetrics {
             published: registry.counter("epoch.published"),
             reader_retries: registry.counter("epoch.reader_retries"),
             publish_latency: registry.histogram("epoch.publish.latency_ns"),
-            queries: QueryInstruments::new(&registry, enabled),
+            queries: QueryInstruments::new(&registry),
             registry,
         }
     }
@@ -413,6 +390,7 @@ impl EpochMetrics {
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
+        self.queries.sync(&self.registry);
         self.registry.snapshot()
     }
 }

@@ -149,11 +149,12 @@ mod tests {
 
     #[test]
     fn sharded_backend_behind_the_same_monitor() {
-        let det = crate::ShardedDetector::builder(3)
+        let det = crate::BurstDetector::builder()
             .universe(32)
             .variant(PbeVariant::pbe2(1.0))
             .accuracy(0.005, 0.05)
             .seed(3)
+            .shards(3)
             .build()
             .unwrap();
         let mut mon = BurstMonitor::new(det, BurstSpan::new(25).unwrap());

@@ -26,7 +26,9 @@
 //! dispatch, so one request never starts competing root spans or double
 //! counts; the outer layer arms the `QueryScratch` stage clocks and
 //! harvests them into child spans regardless of which shard ran the
-//! kernels.
+//! kernels. It also reads the answer's statistics (bursty-event probe
+//! counts, a point answer's retention tier), so those land in the same
+//! registry as the query's count.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -113,7 +115,8 @@ pub(crate) fn request_params(request: &QueryRequest) -> String {
 /// (adopting `scratch.trace_id` when nonzero), arms the scratch stage
 /// clocks when traced or in EXPLAIN mode, runs `dispatch`, harvests the
 /// stage clocks into child spans, and records the count and latency with
-/// the trace id as exemplar.
+/// the trace id as exemplar, plus the statistics the answer carries
+/// (bursty-event probe counts, the point answer's retention tier).
 pub(crate) fn run_query(
     queries: &QueryInstruments,
     request: &QueryRequest,
@@ -143,7 +146,7 @@ pub(crate) fn run_query(
             scratch.stages.reset(false);
         }
     }
-    queries.end(kind, started, result.is_ok(), scratch.trace_id);
+    queries.end(kind, started, &result, scratch.trace_id);
     result
 }
 

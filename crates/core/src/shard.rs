@@ -150,8 +150,9 @@ pub struct ShardedDetector {
     metrics: ShardMetrics,
 }
 
-/// Builder for [`ShardedDetector`]; usually reached via
-/// [`crate::BurstDetectorBuilder::shards`].
+/// Builder for [`ShardedDetector`], reached via
+/// [`crate::BurstDetectorBuilder::shards`]: configure the detector there,
+/// then split it.
 #[derive(Debug, Clone)]
 pub struct ShardedDetectorBuilder {
     pub(crate) config: DetectorConfig,
@@ -159,11 +160,6 @@ pub struct ShardedDetectorBuilder {
 }
 
 impl ShardedDetector {
-    /// Starts a builder with default configuration and `n` shards.
-    pub fn builder(n: usize) -> ShardedDetectorBuilder {
-        ShardedDetectorBuilder { config: DetectorConfig::default(), shards: n }
-    }
-
     /// Builds `n` identically-configured shards from one configuration.
     pub fn from_config(config: DetectorConfig, n: usize) -> Result<Self, BedError> {
         if n == 0 {
@@ -178,8 +174,7 @@ impl ShardedDetector {
         }
         let shards =
             (0..n).map(|_| BurstDetector::from_config(config)).collect::<Result<Vec<_>, _>>()?;
-        let metrics = ShardMetrics::new(config.metrics);
-        Ok(ShardedDetector { shards, last_ts: None, metrics })
+        Ok(ShardedDetector { shards, last_ts: None, metrics: ShardMetrics::new() })
     }
 
     /// The per-shard configuration (identical across shards).
@@ -524,52 +519,6 @@ impl Traceable for ShardedDetector {
 }
 
 impl ShardedDetectorBuilder {
-    /// Selects the PBE variant for every cell of every shard.
-    pub fn variant(mut self, variant: crate::config::PbeVariant) -> Self {
-        self.config.variant = variant;
-        self
-    }
-
-    /// Sets Count-Min accuracy (ε, δ) for every shard.
-    pub fn accuracy(mut self, epsilon: f64, delta: f64) -> Self {
-        self.config.sketch = bed_sketch::SketchParams { epsilon, delta };
-        self
-    }
-
-    /// Declares the shared event universe `[0, k)`.
-    pub fn universe(mut self, k: u32) -> Self {
-        self.config.universe = Some(k);
-        self
-    }
-
-    /// Enables/disables the dyadic hierarchy in every shard.
-    pub fn hierarchical(mut self, on: bool) -> Self {
-        self.config.hierarchical = on;
-        self
-    }
-
-    /// Sets the hash seed (shared, so equal-config shards stay equal).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Enables/disables runtime metric collection in the facade and every
-    /// shard (default on; see [`ShardedDetector::metrics`]).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.config.metrics = on;
-        self
-    }
-
-    /// Sets the tiered retention policy for every shard (`None` =
-    /// unbounded history). Each shard compacts on its own arrival count,
-    /// which depends only on the hash partition — so the sharded state
-    /// stays deterministic and WAL replay reproduces it bit-for-bit.
-    pub fn retention(mut self, policy: Option<bed_sketch::RetentionPolicy>) -> Self {
-        self.config.retention = policy;
-        self
-    }
-
     /// Sets the shard count.
     pub fn shards(mut self, n: usize) -> Self {
         self.shards = n;
@@ -620,8 +569,8 @@ impl bed_stream::Codec for ShardedDetector {
         if shards.iter().any(|s| s.config().universe.is_none()) {
             return Err(CodecError::Invalid { context: "sharded shard mode" });
         }
-        // Like BEDD, metric collection restarts on decode (runtime-only).
-        Ok(ShardedDetector { shards, last_ts, metrics: ShardMetrics::new(true) })
+        // Like BEDD, metrics restart on decode (runtime-only).
+        Ok(ShardedDetector { shards, last_ts, metrics: ShardMetrics::new() })
     }
 }
 
@@ -646,10 +595,11 @@ mod tests {
     }
 
     fn sharded(n: usize) -> ShardedDetector {
-        ShardedDetector::builder(n)
+        BurstDetector::builder()
             .universe(8)
             .variant(PbeVariant::pbe2(1.0))
             .seed(3)
+            .shards(n)
             .build()
             .unwrap()
     }
@@ -657,10 +607,13 @@ mod tests {
     #[test]
     fn build_rejects_zero_shards_and_single_event_mode() {
         assert!(matches!(
-            ShardedDetector::builder(0).universe(4).build(),
+            BurstDetector::builder().universe(4).shards(0).build(),
             Err(BedError::InvalidShardCount { got: 0 })
         ));
-        assert!(matches!(ShardedDetector::builder(2).build(), Err(BedError::WrongMode { .. })));
+        assert!(matches!(
+            BurstDetector::builder().shards(2).build(),
+            Err(BedError::WrongMode { .. })
+        ));
     }
 
     #[test]
@@ -727,10 +680,16 @@ mod tests {
             strategy: QueryStrategy::Pruned,
         };
         let count = |det: &ShardedDetector| det.metrics().counter("query.bursty_events.count");
+        let mut probes = 0u64;
         for expected in 1..=3u64 {
-            det.query(&req).unwrap();
+            let response = det.query(&req).unwrap();
+            let QueryResponse::BurstyEvents { stats, .. } = response else { unreachable!() };
+            probes += stats.point_queries as u64;
             assert_eq!(count(&det), Some(expected), "one count per fan-out, not per shard");
         }
+        // the facade reads the merged answer's stats once; shards add none
+        assert!(probes > 0);
+        assert_eq!(det.metrics().counter("query.stats.point_queries"), Some(probes));
         // per-event kinds route to one shard and are counted once too
         det.query(&QueryRequest::Point { event: EventId(5), t: Timestamp(99), tau }).unwrap();
         assert_eq!(det.metrics().counter("query.point.count"), Some(1));

@@ -345,7 +345,7 @@ mod tests {
         assert_eq!(wal.records.len(), 10);
         assert!(!wal.torn_tail);
         assert_eq!(wal.records[3], (EventId(3), Timestamp(6)));
-        assert!(wal.config.same_shape(&DetectorConfig::default()));
+        assert_eq!(wal.config, DetectorConfig::default());
     }
 
     #[test]

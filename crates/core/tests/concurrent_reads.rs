@@ -32,8 +32,7 @@ use std::sync::{Arc, Mutex};
 
 use bed_core::{
     recover, AnyDetector, BurstDetector, BurstQueries, DetectorEpochs, EpochReader, PbeVariant,
-    QueryRequest, QueryResponse, QueryStrategy, ShardedDetector, SnapshotCell, SnapshotStore,
-    TimeRange,
+    QueryRequest, QueryResponse, QueryStrategy, SnapshotCell, SnapshotStore, TimeRange,
 };
 use bed_stream::{BurstSpan, Codec as _, EventId, Timestamp};
 use bed_workload::{olympics, politics, OlympicsConfig, PoliticsConfig};
@@ -54,26 +53,15 @@ fn seed() -> u64 {
 
 /// Same-config detector in either layout (0 = plain, n ≥ 2 = sharded).
 fn build(layout: usize, universe: u32, seed: u64) -> AnyDetector {
+    let builder = BurstDetector::builder()
+        .universe(universe)
+        .variant(PbeVariant::pbe2(2.0))
+        .accuracy(0.02, 0.1)
+        .seed(seed);
     if layout == 0 {
-        AnyDetector::Plain(Box::new(
-            BurstDetector::builder()
-                .universe(universe)
-                .variant(PbeVariant::pbe2(2.0))
-                .accuracy(0.02, 0.1)
-                .seed(seed)
-                .build()
-                .unwrap(),
-        ))
+        AnyDetector::Plain(Box::new(builder.build().unwrap()))
     } else {
-        AnyDetector::Sharded(
-            ShardedDetector::builder(layout)
-                .universe(universe)
-                .variant(PbeVariant::pbe2(2.0))
-                .accuracy(0.02, 0.1)
-                .seed(seed)
-                .build()
-                .unwrap(),
-        )
+        AnyDetector::Sharded(builder.shards(layout).build().unwrap())
     }
 }
 

@@ -60,7 +60,6 @@ fn configs() -> Vec<(&'static str, DetectorConfig, u32)> {
         universe: Some(UNIVERSE),
         hierarchical: true,
         seed: 42,
-        metrics: true,
         retention: None,
     };
     vec![

@@ -299,6 +299,13 @@ fn epoch_views_serve_stamped_tiers_coherently() {
     let bed_core::AnyDetector::Plain(det) = any else { unreachable!() };
     let view = epochs.view();
     check(&view, &det, "post-compaction epoch");
+
+    // The views counted every point answer once, under its serving tier,
+    // into the epochs' registry (not the published clones' ones).
+    let snap = epochs.metrics();
+    let tier_queries = |k: u32| snap.counter(&format!("retention.tier{k}.queries"));
+    assert!(tier_queries(0).is_some() && tier_queries(1).is_some(), "{snap:?}");
+    assert_eq!((0..=64).filter_map(tier_queries).sum::<u64>(), 2 * 7, "{snap:?}");
 }
 
 /// Replay determinism across a snapshot boundary: a detector decoded

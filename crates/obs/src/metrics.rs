@@ -10,9 +10,6 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 /// A monotonically increasing `u64` counter.
-///
-/// `Clone` copies the *current value* into an independent counter — cloning a
-/// detector must not leave the two halves sharing metric storage.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -54,12 +51,6 @@ impl Counter {
     }
 }
 
-impl Clone for Counter {
-    fn clone(&self) -> Self {
-        Self(AtomicU64::new(self.get()))
-    }
-}
-
 /// A last-write-wins `f64` gauge (stored as IEEE-754 bits in an `AtomicU64`).
 ///
 /// Gauges carry *structural* readings — segment counts, cell occupancy,
@@ -83,14 +74,6 @@ impl Gauge {
     #[inline]
     pub fn get(&self) -> f64 {
         f64::from_bits(self.0.load(Relaxed))
-    }
-}
-
-impl Clone for Gauge {
-    fn clone(&self) -> Self {
-        let g = Self::new();
-        g.set(self.get());
-        g
     }
 }
 
@@ -213,23 +196,6 @@ impl Default for Histogram {
     }
 }
 
-impl Clone for Histogram {
-    fn clone(&self) -> Self {
-        let snap = self.snapshot();
-        let h = Self::new();
-        for (dst, src) in h.buckets.iter().zip(snap.buckets.iter()) {
-            dst.store(*src, Relaxed);
-        }
-        h.count.store(snap.count, Relaxed);
-        h.sum_ns.store(snap.sum_ns, Relaxed);
-        for (i, &(id, ns)) in snap.exemplars.iter().enumerate() {
-            h.exemplar_ids[i].store(id, Relaxed);
-            h.exemplar_ns[i].store(ns, Relaxed);
-        }
-        h
-    }
-}
-
 /// Immutable histogram state: per-bucket counts over [`LATENCY_BOUNDS_NS`]
 /// (plus one overflow bucket), total count, and total nanoseconds.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,10 +271,7 @@ mod tests {
         c.add(9);
         assert_eq!(c.get(), 10);
         assert_eq!(c.inc_fetch(), 10);
-        let d = c.clone();
-        c.inc();
-        assert_eq!(d.get(), 11, "clone is an independent value copy");
-        assert_eq!(c.get(), 12);
+        assert_eq!(c.get(), 11);
     }
 
     #[test]
@@ -318,7 +281,7 @@ mod tests {
         g.set(3.25);
         assert_eq!(g.get(), 3.25);
         g.set(-1.5);
-        assert_eq!(g.clone().get(), -1.5);
+        assert_eq!(g.get(), -1.5);
     }
 
     #[test]
@@ -441,7 +404,5 @@ mod tests {
         let m = a.snapshot().merge(&b.snapshot());
         assert_eq!(m.exemplars[0], (0xaaa, 100), "left side wins when both present");
         assert_eq!(m.exemplars[3], (0xccc, 5_000), "right side fills gaps");
-        // Clone carries exemplars along.
-        assert_eq!(a.clone().snapshot().exemplars[0], (0xaaa, 100));
     }
 }

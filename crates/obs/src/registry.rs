@@ -25,9 +25,9 @@ pub enum Metric {
 /// a cold, read-only path.
 ///
 /// `MetricsRegistry` is deliberately **not** `Clone`: sharing metric storage
-/// between two detectors after a `.clone()` would double-count. Use
-/// [`deep_clone`](MetricsRegistry::deep_clone) to copy current values into
-/// independent storage.
+/// between two detectors after a `.clone()` would double-count, and copying
+/// values would let two owners report the same work. A cloned component
+/// builds a fresh registry instead.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<BTreeMap<String, Metric>>,
@@ -94,25 +94,6 @@ impl MetricsRegistry {
             (name.clone(), value)
         }))
     }
-
-    /// Copies every metric's *current value* into a fresh registry with
-    /// independent storage. Handles held against `self` keep updating `self`
-    /// only; callers must re-fetch handles from the clone.
-    pub fn deep_clone(&self) -> MetricsRegistry {
-        let map = self.inner.lock().expect("metrics registry poisoned");
-        let copied: BTreeMap<String, Metric> = map
-            .iter()
-            .map(|(name, metric)| {
-                let fresh = match metric {
-                    Metric::Counter(c) => Metric::Counter(Arc::new(Counter::clone(c))),
-                    Metric::Gauge(g) => Metric::Gauge(Arc::new(Gauge::clone(g))),
-                    Metric::Histogram(h) => Metric::Histogram(Arc::new(Histogram::clone(h))),
-                };
-                (name.clone(), fresh)
-            })
-            .collect();
-        MetricsRegistry { inner: Mutex::new(copied) }
-    }
 }
 
 #[cfg(test)]
@@ -148,20 +129,6 @@ mod tests {
         assert_eq!(snap.counter("z.count"), Some(3));
         assert_eq!(snap.gauge("a.gauge"), Some(1.5));
         assert_eq!(snap.histogram("m.hist").map(|h| h.count), Some(1));
-    }
-
-    #[test]
-    fn deep_clone_decouples_storage() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("n");
-        c.add(5);
-        let r2 = r.deep_clone();
-        c.inc();
-        assert_eq!(r.snapshot().counter("n"), Some(6));
-        assert_eq!(r2.snapshot().counter("n"), Some(5));
-        r2.counter("n").add(10);
-        assert_eq!(r2.snapshot().counter("n"), Some(15));
-        assert_eq!(r.snapshot().counter("n"), Some(6));
     }
 
     #[test]

@@ -88,14 +88,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Returns a snapshot with every name prefixed by `prefix` (no separator
-    /// is inserted; pass e.g. `"shard.3."`). Used for per-shard rollups.
-    pub fn with_prefix(self, prefix: &str) -> Self {
-        Self {
-            entries: self.entries.into_iter().map(|(n, v)| (format!("{prefix}{n}"), v)).collect(),
-        }
-    }
-
     /// Merges `other` into `self` by name: counters and histogram buckets
     /// sum, gauges sum (structural gauges aggregate additively across
     /// shards), and names present on one side only pass through. Summing is
@@ -554,14 +546,6 @@ mod tests {
         assert_eq!(m.counter("only_a"), Some(9));
         assert_eq!(m.gauge("only_b"), Some(4.0));
         assert_eq!(m.len(), 4);
-    }
-
-    #[test]
-    fn with_prefix_renames() {
-        let s = MetricsSnapshot::from_entries([("x".to_owned(), MetricValue::Counter(1))])
-            .with_prefix("shard.0.");
-        assert_eq!(s.counter("shard.0.x"), Some(1));
-        assert_eq!(s.counter("x"), None);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::MetricValue;
 
 /// Closed table of span names. Keeping names as indices into a static
 /// table means the ring buffer never stores or clones strings.
-static SPAN_NAMES: [&str; 15] = [
+static SPAN_NAMES: [&str; 14] = [
     "query.point",
     "query.bursty_times",
     "query.bursty_events",
@@ -28,7 +28,6 @@ static SPAN_NAMES: [&str; 15] = [
     "stage.cell_probe",
     "stage.median_combine",
     "stage.hierarchy_prune",
-    "shard.fan_out",
     "pipeline.flush",
     "wal.append",
     "checkpoint.save",
@@ -61,18 +60,16 @@ impl SpanName {
     pub const STAGE_MEDIAN_COMBINE: SpanName = SpanName(6);
     /// Child stage: dyadic pruned search over the hierarchy.
     pub const STAGE_HIERARCHY_PRUNE: SpanName = SpanName(7);
-    /// Child stage: fan-out of a query across shards.
-    pub const SHARD_FAN_OUT: SpanName = SpanName(8);
     /// Root span for a pipeline batch flush.
-    pub const PIPELINE_FLUSH: SpanName = SpanName(9);
+    pub const PIPELINE_FLUSH: SpanName = SpanName(8);
     /// Root span for a WAL append + fsync.
-    pub const WAL_APPEND: SpanName = SpanName(10);
+    pub const WAL_APPEND: SpanName = SpanName(9);
     /// Root span for a checkpoint save.
-    pub const CHECKPOINT_SAVE: SpanName = SpanName(11);
+    pub const CHECKPOINT_SAVE: SpanName = SpanName(10);
     /// Root span for snapshot + WAL recovery.
-    pub const CHECKPOINT_RECOVER: SpanName = SpanName(12);
+    pub const CHECKPOINT_RECOVER: SpanName = SpanName(11);
     /// Root span for publishing one epoch snapshot to concurrent readers.
-    pub const EPOCH_PUBLISH: SpanName = SpanName(13);
+    pub const EPOCH_PUBLISH: SpanName = SpanName(12);
 
     /// The string form of this span name.
     pub fn as_str(self) -> &'static str {

@@ -11,7 +11,7 @@ use std::sync::Mutex;
 
 use bed::{
     AnyDetector, BurstDetector, BurstQueries, BurstSpan, DetectorEpochs, EventId, PbeVariant,
-    QueryRequest, QueryResponse, QueryStrategy, ShardedDetector, Timestamp,
+    QueryRequest, QueryResponse, QueryStrategy, Timestamp,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -24,26 +24,15 @@ const SAMPLE_CAP: usize = 8;
 
 /// Same-config detector in either layout (0 = plain, n ≥ 2 = sharded).
 fn build(layout: usize) -> AnyDetector {
+    let builder = BurstDetector::builder()
+        .universe(UNIVERSE)
+        .variant(PbeVariant::pbe2(2.0))
+        .accuracy(0.02, 0.1)
+        .seed(11);
     if layout == 0 {
-        AnyDetector::Plain(Box::new(
-            BurstDetector::builder()
-                .universe(UNIVERSE)
-                .variant(PbeVariant::pbe2(2.0))
-                .accuracy(0.02, 0.1)
-                .seed(11)
-                .build()
-                .unwrap(),
-        ))
+        AnyDetector::Plain(Box::new(builder.build().unwrap()))
     } else {
-        AnyDetector::Sharded(
-            ShardedDetector::builder(layout)
-                .universe(UNIVERSE)
-                .variant(PbeVariant::pbe2(2.0))
-                .accuracy(0.02, 0.1)
-                .seed(11)
-                .build()
-                .unwrap(),
-        )
+        AnyDetector::Sharded(builder.shards(layout).build().unwrap())
     }
 }
 
