@@ -95,23 +95,6 @@ fn bench_ingest(c: &mut Criterion) {
         )
     });
 
-    g.bench_function("cmpbe2_mixed_parallel_rows", |b| {
-        b.iter_batched(
-            || {
-                CmPbe::new(params, 7, || {
-                    Pbe2::new(Pbe2Config { gamma: 8.0, max_vertices: 64 }).unwrap()
-                })
-                .unwrap()
-            },
-            |mut cm| {
-                cm.update_batch_parallel(&els);
-                cm.finalize();
-                cm.size_bytes()
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
     g.finish();
 }
 

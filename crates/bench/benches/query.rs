@@ -10,7 +10,7 @@ use bed_core::{
     Traceable as _, Tracer, TracerConfig,
 };
 use bed_hierarchy::DyadicCmPbe;
-use bed_pbe::{CurveSketch, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
+use bed_pbe::{burstiness, CurveSketch, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
 use bed_sketch::{Combiner, QueryScratch, SketchParams};
 use bed_stream::{BurstSpan, EventId, ExactBaseline, Timestamp};
 
@@ -69,7 +69,7 @@ fn bench_query(c: &mut Criterion) {
     g.bench_function("pbe1", |b| b.iter(|| pbe1.estimate_burstiness(t_query, tau)));
     g.bench_function("pbe2", |b| b.iter(|| pbe2.estimate_burstiness(t_query, tau)));
     g.bench_function("cmpbe_leaf", |b| {
-        b.iter(|| forest.estimate_burstiness(EventId(17), t_query, tau))
+        b.iter(|| burstiness(forest.grid(0).probe3(EventId(17), t_query, tau)))
     });
     g.finish();
 
@@ -78,9 +78,9 @@ fn bench_query(c: &mut Criterion) {
     g.bench_function("naive_scan", |b| b.iter(|| forest.bursty_events_scan(t_query, 2_000.0, tau)));
     g.finish();
 
-    // Fused kernels vs the composed reference path (three independent
-    // Vec-median estimates per probe, fresh candidate allocation per query)
-    // — the before/after pair behind results/query_throughput.md.
+    // Fused kernels vs the composed reference path (the heap-median
+    // `probe3_by` ablation probe per instant, fresh candidate allocation per
+    // query) — the before/after pair behind results/query_throughput.md.
     let grid = forest.grid(0);
     let theta = 1_000.0;
     let horizon = Timestamp(11_000);
@@ -88,8 +88,12 @@ fn bench_query(c: &mut Criterion) {
     let mut g = c.benchmark_group("query");
     g.bench_function("bursty_time/composed", |b| {
         b.iter(|| {
+            let mut knees: Vec<Timestamp> = Vec::new();
+            grid.for_each_segment_start(EventId(17), &mut |knee| knees.push(knee));
+            knees.sort_unstable();
+            knees.dedup();
             let mut cands: Vec<u64> = Vec::new();
-            for knee in grid.segment_starts(EventId(17)) {
+            for knee in knees {
                 for delta in [0, tau.ticks(), tau.ticks().saturating_mul(2)] {
                     let t = knee.ticks().saturating_add(delta);
                     if t <= horizon.ticks() {
@@ -102,7 +106,7 @@ fn bench_query(c: &mut Criterion) {
             let mut hits: Vec<(Timestamp, f64)> = Vec::new();
             for t in cands {
                 let b =
-                    grid.estimate_burstiness_with(EventId(17), Timestamp(t), tau, Combiner::Median);
+                    burstiness(grid.probe3_by(EventId(17), Timestamp(t), tau, Combiner::Median));
                 if b >= theta {
                     hits.push((Timestamp(t), b));
                 }
@@ -122,7 +126,7 @@ fn bench_query(c: &mut Criterion) {
         b.iter(|| {
             let mut hits: Vec<(EventId, f64)> = Vec::new();
             for e in 0..UNIVERSE {
-                let b = grid.estimate_burstiness_with(EventId(e), t_query, tau, Combiner::Median);
+                let b = burstiness(grid.probe3_by(EventId(e), t_query, tau, Combiner::Median));
                 if b >= theta {
                     hits.push((EventId(e), b));
                 }

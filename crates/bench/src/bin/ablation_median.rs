@@ -8,7 +8,7 @@
 //! argument under Theorem 1. This binary quantifies it.
 
 use bed_bench::{data, env_queries, env_scale, measure, print_table};
-use bed_pbe::{Pbe2, Pbe2Config};
+use bed_pbe::{burstiness, Pbe2, Pbe2Config};
 use bed_sketch::{Combiner, SketchParams};
 use bed_stream::{BurstSpan, ExactBaseline, Timestamp};
 use bed_workload::truth;
@@ -42,14 +42,14 @@ fn main() {
         ]);
         for combiner in [Combiner::Median, Combiner::Min, Combiner::Max] {
             let err = truth::mean_abs_error(&baseline, &queries, tau, |e, t| {
-                cm.estimate_burstiness_with(e, t, tau, combiner)
+                burstiness(cm.probe3_by(e, t, tau, combiner))
             });
             // signed bias of the cumulative estimate at the horizon
             let bias: f64 = events
                 .iter()
                 .map(|&e| {
                     let truth = baseline.cumulative_frequency(e, horizon) as f64;
-                    cm.estimate_cum_with(e, horizon, combiner) - truth
+                    cm.probe3_by(e, horizon, tau, combiner)[0] - truth
                 })
                 .sum::<f64>()
                 / events.len() as f64;

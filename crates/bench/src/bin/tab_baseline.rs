@@ -7,7 +7,7 @@
 //! CM-PBEs use MBs.
 
 use bed_bench::{data, env_scale, kb, measure, print_table, secs, time};
-use bed_pbe::{CurveSketch, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
+use bed_pbe::{burstiness, CurveSketch, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
 use bed_sketch::SketchParams;
 use bed_stream::{BurstSpan, EventId, ExactBaseline, Timestamp};
 use bed_workload::truth;
@@ -66,14 +66,14 @@ fn main() {
     let (_, t_cm1_q) = time(|| {
         let mut acc = 0.0;
         for &(e, t) in &queries {
-            acc += cm1.estimate_burstiness(e, t, tau);
+            acc += burstiness(cm1.probe3(e, t, tau));
         }
         acc
     });
     let (_, t_cm2_q) = time(|| {
         let mut acc = 0.0;
         for &(e, t) in &queries {
-            acc += cm2.estimate_burstiness(e, t, tau);
+            acc += burstiness(cm2.probe3(e, t, tau));
         }
         acc
     });

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use bed_pbe::{CurveSketch, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
+use bed_pbe::{burstiness, CurveSketch, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
 use bed_sketch::{CmPbe, SketchParams};
 use bed_stream::{BurstSpan, EventId, EventStream, ExactBaseline, SingleEventStream, Timestamp};
 use bed_workload::truth;
@@ -109,7 +109,7 @@ pub fn cmpbe_error<P: CurveSketch>(
     seed: u64,
 ) -> f64 {
     let queries = truth::random_point_queries(events, horizon, q, seed);
-    truth::mean_abs_error(baseline, &queries, tau, |e, t| cm.estimate_burstiness(e, t, tau))
+    truth::mean_abs_error(baseline, &queries, tau, |e, t| burstiness(cm.probe3(e, t, tau)))
 }
 
 #[cfg(test)]

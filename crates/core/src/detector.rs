@@ -3,7 +3,7 @@
 use bed_hierarchy::query::bursty_times_single;
 use bed_hierarchy::{BurstyEventHit, DyadicCmPbe, QueryStats};
 use bed_obs::{MetricsSnapshot, Tracer};
-use bed_pbe::CurveSketch;
+use bed_pbe::{burstiness, CurveSketch};
 use bed_sketch::{Clock, CmPbe, NoClock, QueryScratch, StageClock, StageTimings};
 use bed_stream::{BurstSpan, EventId, StreamError, Timestamp};
 
@@ -48,12 +48,6 @@ impl Backend {
             Backend::Hierarchical(forest) => Leaf::Grid(forest.grid(0)),
         }
     }
-}
-
-/// Eq. 2's burstiness from the three fused probes.
-#[inline]
-fn burstiness([f0, f1, f2]: [f64; 3]) -> f64 {
-    f0 - 2.0 * f1 + f2
 }
 
 /// Historical burstiness detector: ingest a stream once, then ask *point*,
@@ -274,12 +268,11 @@ impl BurstDetector {
         }
     }
 
-    /// Estimated incoming rate `b̃f_e(t)`.
+    /// Estimated incoming rate `b̃f_e(t) = F̃_e(t) − F̃_e(t−τ)`, from the
+    /// same fused probe as [`Self::point_query`].
     pub fn burst_frequency(&self, event: EventId, t: Timestamp, tau: BurstSpan) -> f64 {
-        match self.backend.leaf() {
-            Leaf::Single(pbe) => pbe.estimate_burst_frequency(t, tau),
-            Leaf::Grid(grid) => grid.estimate_burst_frequency(event, t, tau),
-        }
+        let f = self.probe3(event, t, tau, &mut StageTimings::default());
+        f[0] - f[1]
     }
 
     /// BURSTY TIME QUERY `q(e, θ, τ)`: instants within `[0, horizon]` where
@@ -1155,5 +1148,33 @@ mod tests {
         assert!((f - 40.0).abs() <= 2.0, "F̃={f}");
         let bf = det.burst_frequency(EventId(2), Timestamp(39), tau);
         assert!((bf - 10.0).abs() <= 3.0, "b̃f={bf}");
+
+        // b̃f is exactly the difference of two cumulative estimates, on a
+        // flat grid and on the hierarchy's leaf grid alike.
+        for hierarchical in [false, true] {
+            let mut det = BurstDetector::builder()
+                .universe(8)
+                .hierarchical(hierarchical)
+                .variant(PbeVariant::pbe2(1.0))
+                .seed(3)
+                .build()
+                .unwrap();
+            burst_fixture(&mut det);
+            for e in 0..8u32 {
+                let e = EventId(e);
+                // t < τ covers the pre-epoch leg, which reads 0.
+                for t in [5u64, 40, 95, 99, 150] {
+                    let t = Timestamp(t);
+                    let prev =
+                        t.checked_sub(tau.ticks()).map_or(0.0, |p| det.cumulative_frequency(e, p));
+                    let want = det.cumulative_frequency(e, t) - prev;
+                    assert_eq!(
+                        det.burst_frequency(e, t, tau).to_bits(),
+                        want.to_bits(),
+                        "hierarchical={hierarchical} e={e:?} t={t}"
+                    );
+                }
+            }
+        }
     }
 }

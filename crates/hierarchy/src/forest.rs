@@ -140,42 +140,6 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         Ok(())
     }
 
-    /// Ingests a batch with **one thread per level**: each level's grid is
-    /// an independent structure fed the batch under its own block ids, so
-    /// levels parallelise with no synchronisation (the hierarchy's analogue
-    /// of the paper's parallel-construction remark). Within a level the
-    /// grid may further parallelise across rows.
-    ///
-    /// The batch must be timestamp-sorted and within the universe.
-    pub fn update_batch_parallel(
-        &mut self,
-        batch: &[(EventId, Timestamp)],
-    ) -> Result<(), StreamError>
-    where
-        P: Send,
-    {
-        for &(e, _) in batch {
-            if e.value() >= self.universe {
-                return Err(StreamError::EventOutOfUniverse {
-                    event: e.value(),
-                    universe: self.universe,
-                });
-            }
-        }
-        std::thread::scope(|scope| {
-            for (level, grid) in self.grids.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    // Translate ids to this level's blocks, then reuse the
-                    // grid's own (possibly row-parallel) batch path.
-                    let translated: Vec<(EventId, Timestamp)> =
-                        batch.iter().map(|&(e, t)| (EventId(e.value() >> level), t)).collect();
-                    grid.update_batch(&translated);
-                });
-            }
-        });
-        Ok(())
-    }
-
     /// Flushes buffering in every grid.
     pub fn finalize(&mut self) {
         for grid in &mut self.grids {
@@ -186,16 +150,6 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
     /// Elements ingested (N).
     pub fn arrivals(&self) -> u64 {
         self.grids.first().map_or(0, |g| g.arrivals())
-    }
-
-    /// Estimated burstiness of a single event (leaf level).
-    pub fn estimate_burstiness(
-        &self,
-        event: EventId,
-        t: Timestamp,
-        tau: bed_stream::BurstSpan,
-    ) -> f64 {
-        self.grids[0].estimate_burstiness(event, t, tau)
     }
 
     /// Total size across all levels in bytes.
@@ -285,7 +239,7 @@ impl<P: bed_stream::Codec> bed_stream::Codec for DyadicCmPbe<P> {
 mod tests {
     use super::*;
     use crate::dyadic::DyadicRange;
-    use bed_pbe::ExactCurve;
+    use bed_pbe::{burstiness, ExactCurve};
     use bed_stream::BurstSpan;
 
     fn forest(universe: u32) -> DyadicCmPbe<ExactCurve> {
@@ -327,34 +281,12 @@ mod tests {
             f.update(EventId(e), Timestamp(t)).unwrap();
         }
         let t = Timestamp(101);
-        let b4 = f.estimate_burstiness(EventId(4), t, tau);
-        let b5 = f.estimate_burstiness(EventId(5), t, tau);
-        let parent = DyadicRange { level: 1, index: 2 }; // covers {4, 5}
-        let bp = f.grid(parent.level).estimate_burstiness(EventId(parent.index), t, tau);
+        let b =
+            |node: DyadicRange| burstiness(f.grid(node.level).probe3(EventId(node.index), t, tau));
+        let b4 = b(DyadicRange { level: 0, index: 4 });
+        let b5 = b(DyadicRange { level: 0, index: 5 });
+        let bp = b(DyadicRange { level: 1, index: 2 }); // covers {4, 5}
         assert!((bp - (b4 + b5)).abs() < 1e-9, "bp={bp} b4={b4} b5={b5}");
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential_updates() {
-        let batch: Vec<(EventId, Timestamp)> =
-            (0..6_000u64).map(|i| (EventId((i * 13 % 64) as u32), Timestamp(i / 3))).collect();
-        let mut seq = forest(64);
-        let mut par = forest(64);
-        for &(e, t) in &batch {
-            seq.update(e, t).unwrap();
-        }
-        par.update_batch_parallel(&batch).unwrap();
-        assert_eq!(seq.arrivals(), par.arrivals());
-        let tau = BurstSpan::new(100).unwrap();
-        for e in (0..64u32).step_by(7) {
-            assert_eq!(
-                seq.estimate_burstiness(EventId(e), Timestamp(1_999), tau),
-                par.estimate_burstiness(EventId(e), Timestamp(1_999), tau)
-            );
-        }
-        // out-of-universe batches are rejected atomically
-        let bad = vec![(EventId(64), Timestamp(5_000))];
-        assert!(par.update_batch_parallel(&bad).is_err());
     }
 
     #[test]

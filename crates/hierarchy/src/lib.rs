@@ -20,7 +20,8 @@
 //! * [`dyadic`] — range/level arithmetic over a power-of-two-padded universe.
 //! * [`forest`] — [`DyadicCmPbe`]: per-level CM-PBE grids and ingestion.
 //! * [`query`] — Algorithm 3 with probe accounting, the naive scan
-//!   baseline, and the bursty-time query over sketch knees.
+//!   baseline, and the bursty-time query over a single-stream sketch's
+//!   knees (grids answer it through `CmPbe::bursty_times_into`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,7 +3,7 @@
 
 use bed_pbe::kernel::CurveCursor;
 use bed_pbe::traits::bursty_time_candidates;
-use bed_pbe::CurveSketch;
+use bed_pbe::{burstiness, CurveSketch};
 use bed_sketch::{Clock, NoClock, QueryScratch, StageClock, StageTimings};
 use bed_stream::{BurstSpan, EventId, Timestamp};
 
@@ -69,34 +69,21 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         self.bursty_events_staged(0, u32::MAX, t, theta, tau, &mut StageTimings::default())
     }
 
-    /// BURSTY EVENT QUERY restricted to the event-id range `[lo, hi)` — the
-    /// dyadic tree supports this for free: subtrees disjoint from the range
-    /// are skipped outright, subtrees inside it prune exactly as in
-    /// [`Self::bursty_events`], and the handful of *straddling* nodes on the
-    /// range border are descended unconditionally (their block estimates mix
-    /// in-range and out-of-range events, so the Eq. 6 bound does not apply
-    /// to the in-range half).
+    /// BURSTY EVENT QUERY restricted to the event-id range `[lo, hi)` —
+    /// the pruned search behind [`Self::bursty_events`] (`[0, u32::MAX)`).
+    /// The dyadic tree supports the restriction for free: subtrees disjoint
+    /// from the range are skipped outright, subtrees inside it prune exactly
+    /// as in [`Self::bursty_events`], and the handful of *straddling* nodes
+    /// on the range border are descended unconditionally (their block
+    /// estimates mix in-range and out-of-range events, so the Eq. 6 bound
+    /// does not apply to the in-range half). Useful when event ids encode a
+    /// grouping (a category, a tenant, a paper-style party affiliation) and
+    /// only one group is of interest.
     ///
-    /// Useful when event ids encode a grouping (a category, a tenant, a
-    /// paper-style party affiliation) and only one group is of interest.
-    pub fn bursty_events_in_range(
-        &self,
-        lo: u32,
-        hi: u32,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> (Vec<BurstyEventHit>, QueryStats) {
-        assert!(lo < hi, "empty id range");
-        self.bursty_events_staged(lo, hi, t, theta, tau, &mut StageTimings::default())
-    }
-
-    /// The pruned search behind [`Self::bursty_events`] (`[0, u32::MAX)`)
-    /// and [`Self::bursty_events_in_range`], reporting into a query's
-    /// stage clocks: while `stages` is armed, every block probe is timed
-    /// and counted as cell-probe and median-combine work and the rest of
-    /// the search as `hierarchy_prune_ns`. The answer is bit-identical
-    /// either way.
+    /// Reports into a query's stage clocks: while `stages` is armed, every
+    /// block probe is timed and counted as cell-probe and median-combine
+    /// work and the rest of the search as `hierarchy_prune_ns`. The answer
+    /// is bit-identical either way.
     pub fn bursty_events_staged(
         &self,
         lo: u32,
@@ -133,8 +120,7 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
     /// A dyadic block's burstiness through its level grid's fused probe.
     fn block_probe<C: Clock>(&self, node: DyadicRange, s: &mut Search<'_>) -> f64 {
         let grid = self.grid(node.level);
-        let [f0, f1, f2] = grid.probe3_with::<C>(EventId(node.index), s.t, s.tau, s.stages);
-        f0 - 2.0 * f1 + f2
+        burstiness(grid.probe3_with::<C>(EventId(node.index), s.t, s.tau, s.stages))
     }
 
     /// `b_node` is the node's own estimate, computed once by the parent (so
@@ -194,30 +180,6 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         });
         (hits, stats)
     }
-
-    /// BURSTY TIME QUERY `q(e, θ, τ)` against the leaf-level CM-PBE: probes
-    /// the sketch's knee instants (plus their `+τ/+2τ` echoes) and returns
-    /// those with `b̃_e(t) ≥ θ` (Section V's "point query at each time
-    /// instance when a new line segment starts"), through the grid's fused
-    /// hinted-cursor sweep ([`bed_sketch::CmPbe::bursty_times_into`]).
-    pub fn bursty_times(
-        &self,
-        event: EventId,
-        theta: f64,
-        tau: BurstSpan,
-        horizon: Timestamp,
-    ) -> Vec<(Timestamp, f64)> {
-        let mut out = Vec::new();
-        self.grid(0).bursty_times_into(
-            event,
-            theta,
-            tau,
-            horizon,
-            &mut QueryScratch::new(),
-            &mut out,
-        );
-        out
-    }
 }
 
 /// Bursty-time query over a bare single-stream sketch (no CM layout) — used
@@ -245,6 +207,34 @@ mod tests {
     use super::*;
     use bed_pbe::{ExactCurve, Pbe2, Pbe2Config};
     use bed_sketch::SketchParams;
+
+    fn in_range<P: CurveSketch>(
+        f: &DyadicCmPbe<P>,
+        lo: u32,
+        hi: u32,
+        t: Timestamp,
+        theta: f64,
+        tau: BurstSpan,
+    ) -> (Vec<BurstyEventHit>, QueryStats) {
+        f.bursty_events_staged(lo, hi, t, theta, tau, &mut StageTimings::default())
+    }
+
+    fn leaf_bursty_times<P: CurveSketch>(
+        f: &DyadicCmPbe<P>,
+        event: EventId,
+        tau: BurstSpan,
+    ) -> Vec<(Timestamp, f64)> {
+        let mut out = Vec::new();
+        f.grid(0).bursty_times_into(
+            event,
+            40.0,
+            tau,
+            Timestamp(400),
+            &mut QueryScratch::new(),
+            &mut out,
+        );
+        out
+    }
 
     /// 64-event universe where events 3 and 40 burst at t≈100 and everything
     /// else ticks along at a constant rate.
@@ -339,17 +329,17 @@ mod tests {
         let t = Timestamp(110);
         // full range = plain query
         let (all, _) = f.bursty_events(t, 40.0, tau);
-        let (ranged, _) = f.bursty_events_in_range(0, 64, t, 40.0, tau);
+        let (ranged, _) = in_range(&f, 0, 64, t, 40.0, tau);
         assert_eq!(all, ranged);
         // bursting events are 3 and 40: query each half
-        let (low, stats_low) = f.bursty_events_in_range(0, 32, t, 40.0, tau);
+        let (low, stats_low) = in_range(&f, 0, 32, t, 40.0, tau);
         assert_eq!(low.len(), 1);
         assert_eq!(low[0].event.value(), 3);
-        let (high, _) = f.bursty_events_in_range(32, 64, t, 40.0, tau);
+        let (high, _) = in_range(&f, 32, 64, t, 40.0, tau);
         assert_eq!(high.len(), 1);
         assert_eq!(high[0].event.value(), 40);
         // a range containing neither burster
-        let (none, _) = f.bursty_events_in_range(8, 32, t, 40.0, tau);
+        let (none, _) = in_range(&f, 8, 32, t, 40.0, tau);
         assert!(none.is_empty());
         // restricting the range must not cost more probes than the full query
         let (_, stats_full) = f.bursty_events(t, 40.0, tau);
@@ -363,10 +353,10 @@ mod tests {
         let t = Timestamp(110);
         // an awkward unaligned range that straddles several dyadic nodes and
         // contains exactly one burster
-        let (hits, _) = f.bursty_events_in_range(3, 40, t, 40.0, tau);
+        let (hits, _) = in_range(&f, 3, 40, t, 40.0, tau);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].event.value(), 3);
-        let (hits, _) = f.bursty_events_in_range(4, 41, t, 40.0, tau);
+        let (hits, _) = in_range(&f, 4, 41, t, 40.0, tau);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].event.value(), 40);
     }
@@ -375,7 +365,7 @@ mod tests {
     fn bursty_times_finds_the_burst_window() {
         let f = bursty_fixture(|_| ExactCurve::new());
         let tau = BurstSpan::new(20).unwrap();
-        let times = f.bursty_times(EventId(3), 40.0, tau, Timestamp(400));
+        let times = leaf_bursty_times(&f, EventId(3), tau);
         assert!(!times.is_empty());
         for (t, b) in &times {
             assert!(*b >= 40.0);
@@ -387,7 +377,7 @@ mod tests {
     fn bursty_times_empty_for_quiet_event() {
         let f = bursty_fixture(|_| ExactCurve::new());
         let tau = BurstSpan::new(20).unwrap();
-        let times = f.bursty_times(EventId(17), 40.0, tau, Timestamp(400));
+        let times = leaf_bursty_times(&f, EventId(17), tau);
         assert!(times.is_empty(), "{times:?}");
     }
 }

@@ -2,8 +2,8 @@
 
 use bed_hierarchy::dyadic::{level_count, padded_universe, DyadicRange};
 use bed_hierarchy::DyadicCmPbe;
-use bed_pbe::ExactCurve;
-use bed_sketch::SketchParams;
+use bed_pbe::{burstiness, ExactCurve};
+use bed_sketch::{QueryScratch, SketchParams};
 use bed_stream::{BurstSpan, EventId, EventStream, ExactBaseline, Timestamp};
 use proptest::prelude::*;
 
@@ -119,14 +119,17 @@ proptest! {
         let forest = exact_forest(8, &els);
         let tau = BurstSpan::new(tau).unwrap();
         let theta = theta as f64;
+        let leaf = forest.grid(0);
+        let mut scratch = QueryScratch::new();
+        let mut times = Vec::new();
         for e in 0..8u32 {
-            let times = forest.bursty_times(EventId(e), theta, tau, Timestamp(700));
+            leaf.bursty_times_into(EventId(e), theta, tau, Timestamp(700), &mut scratch, &mut times);
             for w in times.windows(2) {
                 prop_assert!(w[0].0 < w[1].0);
             }
             for &(t, b) in &times {
                 prop_assert!(b >= theta);
-                let requery = forest.estimate_burstiness(EventId(e), t, tau);
+                let requery = burstiness(leaf.probe3(EventId(e), t, tau));
                 prop_assert!((requery - b).abs() < 1e-9);
             }
         }

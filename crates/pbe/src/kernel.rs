@@ -144,8 +144,7 @@ impl<'a, S: CurveSketch + ?Sized> CurveCursor<'a, S> {
 
     /// Burstiness `b̃(t)` (Eq. 2) through the hinted probes.
     pub fn burstiness(&mut self, t: Timestamp, tau: BurstSpan) -> f64 {
-        let [f0, f1, f2] = self.probe3(t, tau);
-        f0 - 2.0 * f1 + f2
+        crate::burstiness(self.probe3(t, tau))
     }
 }
 

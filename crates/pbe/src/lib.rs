@@ -41,6 +41,6 @@ pub use pbe1::{Pbe1, Pbe1Config};
 pub use pbe2::{Pbe2, Pbe2Config};
 pub use soa::{bank_of_cells, CurvePiece, PieceBank, PieceBankBuilder, ProbeRows, MAX_LANES};
 pub use traits::{
-    bursty_time_candidates, bursty_time_candidates_into, bursty_time_ranges, CurveSketch,
-    Interpolation, SummaryStats,
+    burstiness, bursty_time_candidates, bursty_time_candidates_into, bursty_time_ranges,
+    CurveSketch, Interpolation, SummaryStats,
 };

@@ -32,6 +32,14 @@ pub struct SummaryStats {
     pub bytes: usize,
 }
 
+/// Burstiness `b(t) = F(t) − 2·F(t−τ) + F(t−2τ)` (Eq. 2) from the three
+/// probes `[F(t), F(t−τ), F(t−2τ)]` — the one place every summary, grid and
+/// query layer composes them.
+#[inline]
+pub fn burstiness([f0, f1, f2]: [f64; 3]) -> f64 {
+    f0 - 2.0 * f1 + f2
+}
+
 /// A streaming summary of one cumulative frequency curve `F(t)` supporting
 /// historical estimates.
 ///
@@ -89,8 +97,7 @@ pub trait CurveSketch {
     /// Estimated burstiness `b̃(t) = F̃(t) − 2·F̃(t−τ) + F̃(t−2τ)` (Eq. 2),
     /// evaluated through the fused [`probe3`](CurveSketch::probe3) kernel.
     fn estimate_burstiness(&self, t: Timestamp, tau: BurstSpan) -> f64 {
-        let [f0, f1, f2] = self.probe3(t, tau);
-        f0 - 2.0 * f1 + f2
+        burstiness(self.probe3(t, tau))
     }
 
     /// Flushes any internal buffering so that `size_bytes` reflects the final

@@ -21,7 +21,9 @@
 //!   kept as a reference implementation and used to sanity-check the hash
 //!   family.
 //! * [`cmpbe`] — the CM-PBE structure, generic over any
-//!   [`bed_pbe::CurveSketch`] cell type.
+//!   [`bed_pbe::CurveSketch`] cell type. Every query reads the fused
+//!   median probe [`CmPbe::probe3`]; [`CmPbe::probe3_by`] swaps in another
+//!   [`Combiner`] for the row-combination ablation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

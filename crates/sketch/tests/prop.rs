@@ -1,8 +1,8 @@
 //! Property-based tests for the Count-Min substrate and CM-PBE.
 
-use bed_pbe::{ExactCurve, Pbe2, Pbe2Config};
-use bed_sketch::{CmPbe, Combiner, CountMin};
-use bed_stream::{EventId, EventStream, Timestamp};
+use bed_pbe::{burstiness, ExactCurve, Pbe2, Pbe2Config};
+use bed_sketch::{CmPbe, Combiner, CountMin, MEDIAN_STACK};
+use bed_stream::{BurstSpan, EventId, EventStream, Timestamp};
 use proptest::prelude::*;
 
 fn arb_stream() -> impl Strategy<Value = Vec<(u32, u64)>> {
@@ -114,12 +114,14 @@ proptest! {
             cm.update(el.event, el.ts);
         }
         let t = Timestamp(q);
+        // Only the `F̃(t)` leg is read, so any span serves.
+        let cum = |e: EventId, c: Combiner| cm.probe3_by(e, t, BurstSpan::new(1).unwrap(), c)[0];
         for e in 0..32u32 {
             let e = EventId(e);
             let truth = stream.project(e).cumulative_frequency(t) as f64;
-            let lo = cm.estimate_cum_with(e, t, Combiner::Min);
-            let med = cm.estimate_cum_with(e, t, Combiner::Median);
-            let hi = cm.estimate_cum_with(e, t, Combiner::Max);
+            let lo = cum(e, Combiner::Min);
+            let med = cum(e, Combiner::Median);
+            let hi = cum(e, Combiner::Max);
             prop_assert!(truth <= lo + 1e-9, "exact cells cannot undershoot: {} < {}", lo, truth);
             prop_assert!(lo <= med + 1e-9 && med <= hi + 1e-9, "ordering broke: {} {} {}", lo, med, hi);
             prop_assert!(
@@ -142,7 +144,6 @@ proptest! {
         q in 0u64..1_200,
         tau in 1u64..200,
     ) {
-        use bed_stream::BurstSpan;
         let stream: EventStream = els.iter().copied().collect();
         let mut cm = CmPbe::with_dimensions(3, 4, seed, || {
             Pbe2::new(Pbe2Config { gamma: 2.0, max_vertices: 32 }).unwrap()
@@ -155,10 +156,15 @@ proptest! {
         let tau = BurstSpan::new(tau).unwrap();
         for e in [0u32, 1, 2, 7, 31] {
             let e = EventId(e);
+            // Combined `F̃_e(q)` of one combiner: the first leg of its probe
+            // at `q`, pre-epoch instants reading 0.
+            let cum = |q: Option<Timestamp>, c: Combiner| {
+                q.map_or(0.0, |q| cm.probe3_by(e, q, tau, c)[0])
+            };
             let truth = stream.project(e).cumulative_frequency(t) as f64;
-            let lo = cm.estimate_cum_with(e, t, Combiner::Min);
-            let med = cm.estimate_cum_with(e, t, Combiner::Median);
-            let hi = cm.estimate_cum_with(e, t, Combiner::Max);
+            let lo = cum(Some(t), Combiner::Min);
+            let med = cum(Some(t), Combiner::Median);
+            let hi = cum(Some(t), Combiner::Max);
             prop_assert!(lo <= med + 1e-9 && med <= hi + 1e-9);
             let worst = (lo - truth).abs().max((hi - truth).abs());
             prop_assert!(
@@ -168,13 +174,10 @@ proptest! {
             );
             // Eq. 2 composition is combiner-consistent: each burstiness is
             // the telescope of its own combiner's cumulative estimates.
+            let (t1, t2) = (t.checked_sub(tau.ticks()), t.checked_sub(2 * tau.ticks()));
             for c in [Combiner::Min, Combiner::Median, Combiner::Max] {
-                let expect = cm.estimate_cum_with(e, t, c)
-                    - 2.0 * t.checked_sub(tau.ticks())
-                        .map_or(0.0, |p| cm.estimate_cum_with(e, p, c))
-                    + t.checked_sub(2 * tau.ticks())
-                        .map_or(0.0, |p| cm.estimate_cum_with(e, p, c));
-                prop_assert_eq!(cm.estimate_burstiness_with(e, t, tau, c).to_bits(), expect.to_bits());
+                let expect = cum(Some(t), c) - 2.0 * cum(t1, c) + cum(t2, c);
+                prop_assert_eq!(burstiness(cm.probe3_by(e, t, tau, c)).to_bits(), expect.to_bits());
             }
             // Lemma 5's rationale end-to-end, in envelope form. The naive
             // pairing "dist(median) ≤ max(dist(Min), dist(Max))" is FALSE
@@ -185,15 +188,11 @@ proptest! {
             // extremes brackets the median telescope, so the median's
             // burstiness is never farther from the exact truth than the
             // worst corner of the Min/Max envelope.
-            let cum = |q: Option<Timestamp>, c: Combiner| {
-                q.map_or(0.0, |q| cm.estimate_cum_with(e, q, c))
-            };
-            let (t1, t2) = (t.checked_sub(tau.ticks()), t.checked_sub(2 * tau.ticks()));
             let b_lo = cum(Some(t), Combiner::Min) - 2.0 * cum(t1, Combiner::Max)
                 + cum(t2, Combiner::Min);
             let b_hi = cum(Some(t), Combiner::Max) - 2.0 * cum(t1, Combiner::Min)
                 + cum(t2, Combiner::Max);
-            let b_med = cm.estimate_burstiness_with(e, t, tau, Combiner::Median);
+            let b_med = burstiness(cm.probe3_by(e, t, tau, Combiner::Median));
             prop_assert!(
                 b_lo - 1e-9 <= b_med && b_med <= b_hi + 1e-9,
                 "median burstiness escaped the Min/Max envelope: {} ∉ [{}, {}]",
@@ -214,7 +213,6 @@ proptest! {
     /// of the public estimate_cum values.
     #[test]
     fn cmpbe_burstiness_consistent(els in arb_stream(), seed in 0u64..50, q in 0u64..1_200, tau in 1u64..200) {
-        use bed_stream::BurstSpan;
         let mut cm = CmPbe::with_dimensions(3, 8, seed, ExactCurve::new);
         for &(e, t) in &els {
             cm.update(EventId(e), Timestamp(t));
@@ -223,10 +221,11 @@ proptest! {
         let t = Timestamp(q);
         for e in [0u32, 9] {
             let e = EventId(e);
+            let at = |q: Option<Timestamp>| q.map_or(0.0, |q| cm.estimate_cum(e, q));
             let expect = cm.estimate_cum(e, t)
-                - 2.0 * cm.estimate_cum_offset(e, t, tau.ticks())
-                + cm.estimate_cum_offset(e, t, 2 * tau.ticks());
-            prop_assert_eq!(cm.estimate_burstiness(e, t, tau), expect);
+                - 2.0 * at(t.checked_sub(tau.ticks()))
+                + at(t.checked_sub(2 * tau.ticks()));
+            prop_assert_eq!(burstiness(cm.probe3(e, t, tau)), expect);
         }
     }
 }
@@ -242,7 +241,7 @@ fn check_bank_transparent<P: bed_pbe::CurveSketch + Clone>(
     mut grid: CmPbe<P>,
     els: &[(u32, u64)],
     q: u64,
-    tau: bed_stream::BurstSpan,
+    tau: BurstSpan,
     finalize: bool,
 ) -> Result<(), TestCaseError> {
     use bed_sketch::QueryScratch;
@@ -263,8 +262,11 @@ fn check_bank_transparent<P: bed_pbe::CurveSketch + Clone>(
     for e in (0..48u32).step_by(5) {
         let a = grid.probe3(EventId(e), q, tau);
         let b = plain.probe3(EventId(e), q, tau);
+        // The heap-median ablation probe is the reference both answer.
+        let r = grid.probe3_by(EventId(e), q, tau, Combiner::Median);
         for k in 0..3 {
             prop_assert_eq!(a[k].to_bits(), b[k].to_bits(), "probe3 leg {} event {}", k, e);
+            prop_assert_eq!(a[k].to_bits(), r[k].to_bits(), "probe3_by leg {} event {}", k, e);
         }
         prop_assert_eq!(
             grid.estimate_cum(EventId(e), q).to_bits(),
@@ -299,8 +301,8 @@ fn check_bank_transparent<P: bed_pbe::CurveSketch + Clone>(
 proptest! {
     /// The SoA bank is a bit-for-bit transparent mirror of the AoS path on
     /// every query kernel, for exact, PBE-1, and PBE-2 cell layouts alike
-    /// (hashed and direct-indexed), mid-stream and finalized, pre-epoch
-    /// probes and empty cells included.
+    /// (hashed and direct-indexed, and deeper than the stack kernels),
+    /// mid-stream and finalized, pre-epoch probes and empty cells included.
     #[test]
     fn soa_bank_is_bitwise_transparent(
         els in arb_stream(),
@@ -310,7 +312,7 @@ proptest! {
         finalize in proptest::arbitrary::any::<bool>(),
     ) {
         use bed_pbe::{Pbe1, Pbe1Config};
-        let tau = bed_stream::BurstSpan::new(tau_ticks).unwrap();
+        let tau = BurstSpan::new(tau_ticks).unwrap();
         // Narrow exact grid: heavy collisions, staircase pieces.
         check_bank_transparent(
             CmPbe::with_dimensions(3, 8, seed, ExactCurve::new), &els, q, tau, finalize,
@@ -328,6 +330,11 @@ proptest! {
         // Direct-indexed PBE-2 row, as the dyadic hierarchy uses.
         check_bank_transparent(
             CmPbe::direct_indexed(48, || Pbe2::with_gamma(2.0).unwrap()),
+            &els, q, tau, finalize,
+        )?;
+        // Deep PBE-2 grid: every kernel takes its `d > MEDIAN_STACK` fallback.
+        check_bank_transparent(
+            CmPbe::with_dimensions(MEDIAN_STACK + 1, 16, seed, || Pbe2::new(Pbe2Config { gamma: 2.0, max_vertices: 16 }).unwrap()),
             &els, q, tau, finalize,
         )?;
     }

@@ -27,12 +27,10 @@
 pub mod codec;
 pub mod crc;
 pub mod curve;
-pub mod downsample;
 pub mod element;
 pub mod error;
 pub mod event;
 pub mod exact;
-pub mod mappers;
 pub mod reorder;
 pub mod stream;
 pub mod time;

@@ -4,8 +4,10 @@
 //! allocation — this binary installs a counting global allocator).
 
 use bed::obs::Histogram;
-use bed::pbe::{CurveCursor, CurveSketch, ExactCurve, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
-use bed::sketch::CmPbe;
+use bed::pbe::{
+    burstiness, CurveCursor, CurveSketch, ExactCurve, Pbe1, Pbe1Config, Pbe2, Pbe2Config,
+};
+use bed::sketch::{CmPbe, Combiner};
 use bed::{
     assemble_trace_tree, AnyDetector, BedError, BurstDetector, BurstQueries, BurstSpan,
     DetectorEpochs, EventId, MetricValue, MetricsSnapshot, PbeVariant, QueryRequest, QueryResponse,
@@ -592,14 +594,16 @@ proptest! {
 
         for e in 0..32u32 {
             let e = EventId(e);
+            let at = |q: Option<Timestamp>| q.map_or(0.0, |q| cm.estimate_cum(e, q));
             let want = [
                 cm.estimate_cum(e, t),
-                cm.estimate_cum_offset(e, t, tau.ticks()),
-                cm.estimate_cum_offset(e, t, tau.ticks().saturating_mul(2)),
+                at(t.checked_sub(tau.ticks())),
+                at(t.checked_sub(tau.ticks().saturating_mul(2))),
             ];
             prop_assert_eq!(bits3(cm.probe3(e, t, tau)), bits3(want));
-            let b = want[0] - 2.0 * want[1] + want[2];
-            prop_assert_eq!(cm.estimate_burstiness(e, t, tau).to_bits(), b.to_bits());
+            prop_assert_eq!(bits3(cm.probe3_by(e, t, tau, Combiner::Median)), bits3(want));
+            let b = burstiness(want);
+            prop_assert_eq!(burstiness(cm.probe3(e, t, tau)).to_bits(), b.to_bits());
         }
 
         // batched row-major scan == per-event estimates, in id order
@@ -609,15 +613,17 @@ proptest! {
         prop_assert_eq!(got.len(), 32);
         for (i, &(e, b)) in got.iter().enumerate() {
             prop_assert_eq!(e, EventId(i as u32));
-            prop_assert_eq!(b.to_bits(), cm.estimate_burstiness(e, t, tau).to_bits());
+            prop_assert_eq!(b.to_bits(), burstiness(cm.probe3(e, t, tau)).to_bits());
         }
 
-        // hinted bursty-time sweep == candidate filter over estimate_burstiness
+        // hinted bursty-time sweep == candidate filter over burstiness(probe3)
         let horizon = Timestamp(2_000);
         for e in [EventId(0), EventId(7), EventId(31)] {
             let mut want: Vec<(Timestamp, f64)> = Vec::new();
+            let mut knees: Vec<Timestamp> = Vec::new();
+            cm.for_each_segment_start(e, &mut |knee| knees.push(knee));
             let mut cands: Vec<u64> = Vec::new();
-            for knee in cm.segment_starts(e) {
+            for knee in knees {
                 for delta in [0, tau.ticks(), tau.ticks().saturating_mul(2)] {
                     let c = knee.ticks().saturating_add(delta);
                     if c <= horizon.ticks() {
@@ -628,7 +634,7 @@ proptest! {
             cands.sort_unstable();
             cands.dedup();
             for c in cands {
-                let b = cm.estimate_burstiness(e, Timestamp(c), tau);
+                let b = burstiness(cm.probe3(e, Timestamp(c), tau));
                 if b >= theta {
                     want.push((Timestamp(c), b));
                 }
@@ -835,7 +841,7 @@ fn warm_fused_kernels_do_not_allocate() {
 
     for q in 3_000..3_199u64 {
         std::hint::black_box(cm.probe3(EventId(11), Timestamp(q), tau));
-        std::hint::black_box(cm.estimate_burstiness(EventId(3), Timestamp(q), tau));
+        std::hint::black_box(burstiness(cm.probe3(EventId(3), Timestamp(q), tau)));
         std::hint::black_box(aos.probe3(EventId(11), Timestamp(q), tau));
     }
     for q in [3_000u64, 3_050, 3_100, 3_199] {

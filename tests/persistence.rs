@@ -2,7 +2,7 @@
 //! binary encoding, decoded sketches keep answering (and ingesting), and
 //! corrupted inputs fail loudly instead of producing wrong answers.
 
-use bed::pbe::{CurveSketch, ExactCurve, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
+use bed::pbe::{burstiness, CurveSketch, ExactCurve, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
 use bed::sketch::{CmPbe, SketchParams};
 use bed::stream::{Codec, CodecError};
 use bed::{BurstDetector, BurstSpan, EventId, PbeVariant, Timestamp};
@@ -100,8 +100,8 @@ fn cmpbe_roundtrip_generic_over_cells() {
     let tau = BurstSpan::new(100).unwrap();
     for e in 0..50u32 {
         assert_eq!(
-            cm.estimate_burstiness(EventId(e), Timestamp(900), tau),
-            decoded.estimate_burstiness(EventId(e), Timestamp(900), tau)
+            burstiness(cm.probe3(EventId(e), Timestamp(900), tau)),
+            burstiness(decoded.probe3(EventId(e), Timestamp(900), tau))
         );
     }
     assert_eq!(cm.size_bytes(), decoded.size_bytes());
