@@ -1,22 +1,24 @@
 //! `bed serve` — a hand-rolled HTTP/1.1 query server over a live ingest.
 //!
-//! The container builds offline, so there is no HTTP framework: a
-//! non-blocking [`TcpListener`] accept loop parses just enough of HTTP/1.1
-//! to answer a handful of routes, always closing the connection afterwards:
+//! The workspace builds without external dependencies, so there is no
+//! HTTP framework: a [`TcpListener`] and a worker pool parse just enough of
+//! HTTP/1.1 to answer a handful of routes, always closing the connection
+//! afterwards:
 //!
 //! - `GET`/`POST /query` — one of the five canonical [`QueryRequest`]
 //!   kinds, as query-string parameters or a JSON body. Answers come from
 //!   the **latest published epoch** ([`bed_core::DetectorEpochs`]), so
-//!   queries never wait on the ingest lock; every answer is stamped with
+//!   queries never wait on ingest; every answer is stamped with
 //!   the epoch it came from (`generation`, `arrivals`, `last_ts`).
 //! - `GET /metrics` — the detector's metrics merged with the tracer's,
 //!   the epoch publisher's (staleness gauges refreshed at scrape time),
-//!   and the self-profiler's, rendered as OpenMetrics text exposition
-//!   with trace-id exemplars on the latency histograms;
+//!   the self-profiler's and the server's own, rendered as OpenMetrics
+//!   text exposition with trace-id exemplars on the latency histograms;
 //! - `GET /livez` — liveness (`ok` whenever the process answers);
 //! - `GET /readyz` — readiness: `503` with a JSON reason list until the
 //!   genesis epoch is published (and the state dir, when configured, is
-//!   writable), `200` with the answering generation afterwards;
+//!   writable), or once the ingest thread has died; `200` with the
+//!   answering generation otherwise;
 //! - `GET /healthz` — `ok` once ready, `503` with the readiness reasons
 //!   otherwise (kept for existing scrapers; `/livez` is pure liveness);
 //! - `GET /trace/recent` — the tracer's span ring as JSON lines;
@@ -36,25 +38,56 @@
 //! views count, time, and trace every `/query` they answer, so the query
 //! families on `/metrics`, `/trace`, and `/slow` describe served traffic.
 //!
-//! Each accepted connection is handled on its own scoped thread. That
-//! keeps a slow client from stalling other requests, and it is also the
-//! shutdown correctness story: `SIGTERM`/`SIGINT` flips an [`AtomicBool`],
-//! the accept loop stops accepting within one poll interval, and the
-//! enclosing [`std::thread::scope`] joins every in-flight connection
-//! thread — a response that was being written when the signal arrived is
-//! always finished before the listener closes and the process exits.
+//! # Threads
+//!
+//! - **Acceptor** (the calling thread): a blocking `accept` hands each
+//!   connection to a bounded queue of `QUEUE_DEPTH` (64). When the queue is
+//!   full the acceptor answers `503 Service Unavailable` with
+//!   `Retry-After: 1` itself and closes the connection: load beyond
+//!   capacity is shed explicitly instead of piling up as threads.
+//! - **Workers**, a fixed pool of `WORKERS` (8): each takes one connection
+//!   at a time off the queue and answers it. A worker waits at most
+//!   `READ_TIMEOUT` (500 ms) for a request's bytes, and a connection that
+//!   already waited longer than that in the queue gets the same `503`
+//!   unread, so a flood of idle sockets drains instead of stalling real
+//!   requests.
+//! - **Ingest** owns the detector; nothing else touches it, so there is no
+//!   detector lock. At every epoch publish it also publishes the
+//!   detector's metrics snapshot, and after every chunk it stores the live
+//!   watermark in atomics: `/metrics` and the staleness gauges never wait
+//!   on ingest. A panic here is caught: `/readyz` and `/healthz` turn
+//!   `503` with `ingest stopped: <message>`, while `/query` keeps
+//!   answering from the last published epoch.
+//! - **Watcher**: samples the self-profiler at its cadence and polls the
+//!   shutdown flag, off the request path.
+//!
+//! Shutdown: `SIGTERM`/`SIGINT` store to an [`AtomicBool`] and do nothing
+//! else. The watcher observes the flag and makes one loopback connection
+//! to the bound port, which wakes the blocking `accept`; the acceptor
+//! drops that connection uncounted, stops accepting, and closes the queue.
+//! Workers finish their in-flight request and drain the queue before the
+//! enclosing [`std::thread::scope`] joins them, so a response being written
+//! when the signal arrived is always finished before the process exits.
+//!
+//! The serve tier counts itself on `/metrics` as `bed_server_*`:
+//! `server.accepted` and `server.shed` connections, and
+//! `server.queue_depth` and `server.workers_busy` at scrape time.
 
 use std::io::{ErrorKind, Read as _, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use bed_core::{
     AnyDetector, BurstQueries as _, BurstSpan, CheckpointPolicy, DetectorEpochs, EpochPublisher,
-    EventId, Profiler, QueryRequest, QueryResponse, QueryScratch, QueryStrategy, TimeRange,
-    Timestamp, TraceId, Traceable as _, Tracer, TracerConfig, Watermark,
+    EpochReader, EventId, MetricsRegistry, MetricsSnapshot, Profiler, QueryRequest, QueryResponse,
+    QueryScratch, QueryStrategy, SnapshotCell, TimeRange, Timestamp, TraceId, Traceable as _,
+    Tracer, TracerConfig, Watermark,
 };
+use bed_obs::{Counter, Gauge};
 
 use crate::args::DetectorFlags;
 use crate::commands::{detector_from_flags, read_elements};
@@ -69,6 +102,17 @@ const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// Request bodies larger than this are refused with `413` before being
 /// read — a query body is a few hundred bytes.
 const MAX_BODY_BYTES: usize = 64 * 1024;
+
+/// Worker threads answering connections.
+const WORKERS: usize = 8;
+/// Accepted connections that may wait for a worker; the acceptor sheds
+/// beyond this.
+const QUEUE_DEPTH: usize = 64;
+/// How long a worker waits for a request's bytes, and so the longest a
+/// connection may wait in the queue before it is shed unread.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
+/// How often the watcher thread checks the shutdown flag.
+const STOP_POLL: Duration = Duration::from_millis(20);
 
 const CT_TEXT: &str = "text/plain; charset=utf-8";
 const CT_JSON: &str = "application/json; charset=utf-8";
@@ -93,8 +137,8 @@ pub(crate) struct ServeOptions {
     pub slow_threshold_ns: u64,
     /// Publish a query epoch every this many arrivals.
     pub publish_every: u64,
-    /// Milliseconds between self-profiler samples (0 disables the
-    /// profiler thread; `/profile` then reports zero ticks).
+    /// Milliseconds between self-profiler samples (0 disables sampling;
+    /// `/profile` then reports zero ticks).
     pub profile_every_ms: u64,
     /// Milliseconds the ingest thread waits before draining the stream.
     /// Leaves a deliberate pre-genesis window in which `/readyz` answers
@@ -105,24 +149,77 @@ pub(crate) struct ServeOptions {
     pub state_dir: Option<String>,
 }
 
-/// Everything a connection handler needs, shared across the scoped
-/// threads: the live detector (writer side), the epoch publication
-/// surface (reader side), and the tracer.
+/// Everything the worker, ingest and watcher threads share. The detector
+/// is not here: the ingest thread owns it, and the other threads read what
+/// it publishes — epochs, its metrics snapshot, the live watermark.
 struct ServeCtx {
-    det: Mutex<AnyDetector>,
     epochs: DetectorEpochs,
+    /// The detector's metrics as of its latest publish (single writer:
+    /// the ingest thread).
+    det_metrics: SnapshotCell<MetricsSnapshot>,
+    /// The live detector's stream position, stored after every chunk.
+    live: LiveWatermark,
     tracer: Arc<Tracer>,
     profiler: Profiler,
+    server: ServerMetrics,
     /// Directory `/readyz` probes for writability (`None` skips it).
     state_dir: Option<String>,
+    /// Why the ingest thread stopped, once it panicked.
+    ingest_failure: OnceLock<String>,
 }
 
 impl ServeCtx {
+    /// A context over `det`'s layout with no epoch published yet. Installs
+    /// one tracer on `det` and on the epochs.
+    fn new(det: &mut AnyDetector, opts: &ServeOptions) -> ServeCtx {
+        let tracer = Arc::new(Tracer::new(TracerConfig {
+            sample_every: opts.sample,
+            slow_threshold_ns: opts.slow_threshold_ns,
+            dump_slow_on_drop: true,
+            ..TracerConfig::default()
+        }));
+        det.set_tracer(Arc::clone(&tracer));
+        // Unpublished start: `/readyz` reports the truth (503) until the
+        // ingest thread publishes the genesis epoch.
+        let mut epochs = DetectorEpochs::new_unpublished(det);
+        epochs.set_tracer(Arc::clone(&tracer));
+        let ctx = ServeCtx {
+            epochs,
+            det_metrics: SnapshotCell::new(),
+            live: LiveWatermark::default(),
+            tracer,
+            profiler: Profiler::with_default_stages(),
+            server: ServerMetrics::new(),
+            state_dir: opts.state_dir.clone(),
+            ingest_failure: OnceLock::new(),
+        };
+        // The detector's families are on `/metrics` from the first scrape.
+        ctx.publish_metrics(det);
+        ctx
+    }
+
+    /// Publishes `det`'s metrics snapshot for `/metrics` and the profiler.
+    fn publish_metrics(&self, det: &AnyDetector) {
+        self.det_metrics.publish(det.watermark(), Arc::new(det.queries().metrics()));
+    }
+
+    /// The detector's last published metrics merged with the epoch
+    /// publisher's: what the profiler samples and `/metrics` starts from.
+    fn stage_metrics(&self) -> MetricsSnapshot {
+        let mut reader = EpochReader::new();
+        reader.refresh(&self.det_metrics);
+        let epochs = self.epochs.metrics();
+        match reader.current() {
+            Some(det) => det.data.merge(&epochs),
+            None => epochs,
+        }
+    }
+
     /// Readiness reasons, empty when the server may answer `/query`: the
-    /// genesis epoch must be published, and the state dir (when
-    /// configured) must accept writes.
+    /// ingest thread must be alive, the genesis epoch must be published,
+    /// and the state dir (when configured) must accept writes.
     fn unready_reasons(&self) -> Vec<String> {
-        let mut reasons = Vec::new();
+        let mut reasons: Vec<String> = self.ingest_failure.get().cloned().into_iter().collect();
         if self.epochs.generation() == 0 {
             reasons.push("no epoch published yet (ingest has not reached genesis)".to_string());
         }
@@ -154,6 +251,70 @@ impl ServeCtx {
     }
 }
 
+/// The live detector's [`Watermark`], readable without the detector.
+#[derive(Default)]
+struct LiveWatermark {
+    arrivals: AtomicU64,
+    last_ts: AtomicU64,
+}
+
+impl LiveWatermark {
+    fn store(&self, w: Watermark) {
+        self.last_ts.store(w.last_ts.map_or(0, |t| t.0), Ordering::Relaxed);
+        // Released after `last_ts`: a reader that sees these arrivals sees
+        // a timestamp at least as new.
+        self.arrivals.store(w.arrivals, Ordering::Release);
+    }
+
+    fn load(&self) -> Watermark {
+        let arrivals = self.arrivals.load(Ordering::Acquire);
+        let last_ts = (arrivals > 0).then(|| Timestamp(self.last_ts.load(Ordering::Relaxed)));
+        Watermark { arrivals, last_ts }
+    }
+}
+
+/// The serve tier's own `server.*` families.
+struct ServerMetrics {
+    registry: MetricsRegistry,
+    accepted: Arc<Counter>,
+    shed: Arc<Counter>,
+    queue_depth: Arc<Gauge>,
+    workers_busy: Arc<Gauge>,
+    /// Connections waiting in the queue; copied into `queue_depth` at
+    /// scrape time.
+    queued: AtomicU64,
+    /// Workers answering a connection; copied into `workers_busy` at
+    /// scrape time.
+    busy: AtomicU64,
+}
+
+impl ServerMetrics {
+    fn new() -> ServerMetrics {
+        let registry = MetricsRegistry::new();
+        ServerMetrics {
+            accepted: registry.counter("server.accepted"),
+            shed: registry.counter("server.shed"),
+            queue_depth: registry.gauge("server.queue_depth"),
+            workers_busy: registry.gauge("server.workers_busy"),
+            registry,
+            queued: AtomicU64::new(0),
+            busy: AtomicU64::new(0),
+        }
+    }
+
+    fn snapshot(&self) -> MetricsSnapshot {
+        self.queue_depth.set(self.queued.load(Ordering::Relaxed) as f64);
+        self.workers_busy.set(self.busy.load(Ordering::Relaxed) as f64);
+        self.registry.snapshot()
+    }
+}
+
+/// An accepted connection waiting for a worker.
+struct Queued {
+    stream: TcpStream,
+    accepted: Instant,
+}
+
 /// Runs the query server until `SIGTERM`/`SIGINT`, returning a summary.
 pub(crate) fn serve(
     input: &str,
@@ -180,89 +341,150 @@ fn serve_until(
     let els = read_elements(input)?;
     let total = els.len();
     let mut det = detector_from_flags(flags)?;
-    let tracer = Arc::new(Tracer::new(TracerConfig {
-        sample_every: opts.sample,
-        slow_threshold_ns: opts.slow_threshold_ns,
-        dump_slow_on_drop: true,
-        ..TracerConfig::default()
-    }));
-    det.set_tracer(Arc::clone(&tracer));
-    // Unpublished start: `/readyz` reports the truth (503) until the
-    // ingest thread publishes the genesis epoch.
-    let mut epochs = DetectorEpochs::new_unpublished(&det);
-    epochs.set_tracer(Arc::clone(&tracer));
-    let ctx = ServeCtx {
-        det: Mutex::new(det),
-        epochs,
-        tracer,
-        profiler: Profiler::with_default_stages(),
-        state_dir: opts.state_dir.clone(),
-    };
+    let ctx = ServeCtx::new(&mut det, opts);
 
     let listener = TcpListener::bind(&opts.addr)?;
-    listener.set_nonblocking(true)?;
     let bound = listener.local_addr()?;
     on_bound(bound);
 
-    let requests = AtomicU64::new(0);
     let ingested = AtomicU64::new(0);
+    let (queue, jobs) = mpsc::sync_channel(QUEUE_DEPTH);
+    let jobs = Mutex::new(jobs);
 
     let result = std::thread::scope(|scope| {
-        scope.spawn(|| ingest_loop(&els, &ctx, stop, opts, &ingested));
-        if opts.profile_every_ms > 0 {
-            scope.spawn(|| profile_loop(&ctx, stop, opts.profile_every_ms));
+        scope.spawn(|| {
+            supervise_ingest(&ctx, || ingest_loop(det, &els, &ctx, stop, opts, &ingested))
+        });
+        scope.spawn(|| watch_loop(&ctx, stop, opts.profile_every_ms, bound));
+        for _ in 0..WORKERS {
+            scope.spawn(|| worker_loop(&jobs, &ctx));
         }
-        let r = accept_loop(&listener, scope, &ctx, stop, &requests);
+        let r = accept_loop(&listener, queue, &ctx, stop);
         // Any exit from the accept loop (including an error) must release
-        // the ingest thread before the scope joins it. Connection threads
-        // already spawned keep running: the scope join below is what
-        // guarantees an in-flight response finishes after a signal.
+        // the ingest and watcher threads before the scope joins them. The
+        // loop dropped the queue's sender, so the workers drain what is
+        // queued and exit; the join is what guarantees an in-flight
+        // response finishes after a signal.
         stop.store(true, Ordering::SeqCst);
         r
     });
     result?;
 
+    let server = &ctx.server;
     Ok(format!(
         "served {} requests on {bound}; ingested {}/{total} elements; published {} epochs\n",
-        requests.load(Ordering::Relaxed),
+        server.accepted.get() - server.shed.get(),
         ingested.load(Ordering::Relaxed),
         ctx.epochs.generation(),
     ))
 }
 
-/// Polls for connections until `stop`, answering each on its own scoped
-/// thread. A failure on one connection never takes the server down.
-fn accept_loop<'scope>(
+/// Accepts connections until `stop`, queueing each for the worker pool
+/// and shedding it when the queue is full. A failure on one connection
+/// never takes the server down. Dropping `queue` on return tells the
+/// workers to drain and exit.
+fn accept_loop(
     listener: &TcpListener,
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    ctx: &'scope ServeCtx,
+    queue: SyncSender<Queued>,
+    ctx: &ServeCtx,
     stop: &AtomicBool,
-    requests: &'scope AtomicU64,
 ) -> Result<(), CliError> {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                scope.spawn(move || {
-                    requests.fetch_add(1, Ordering::Relaxed);
-                    let _ = handle_connection(stream, ctx);
-                });
+    let server = &ctx.server;
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if matches!(e.kind(), ErrorKind::Interrupted | ErrorKind::ConnectionAborted) => {
+                continue
             }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                // Polling (rather than a blocking accept) keeps the loop
-                // responsive to the shutdown flag: a blocking accept would
-                // simply restart after the signal handler returns.
-                std::thread::sleep(Duration::from_millis(15));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(CliError::Io(e)),
+        };
+        // The watcher's wake-up is a connection too: once `stop` is set,
+        // whatever woke the accept is dropped uncounted.
+        if stop.load(Ordering::SeqCst) {
+            return Ok(());
+        }
+        server.accepted.inc();
+        // Counted before the send, so a worker's decrement never runs first.
+        server.queued.fetch_add(1, Ordering::Relaxed);
+        if let Err(TrySendError::Full(job) | TrySendError::Disconnected(job)) =
+            queue.try_send(Queued { stream, accepted: Instant::now() })
+        {
+            server.queued.fetch_sub(1, Ordering::Relaxed);
+            shed(job.stream, server);
         }
     }
-    Ok(())
 }
 
-/// Drains the stream into the detector in small locked chunks, publishing
-/// epochs at the configured cadence and once more after the drain.
+/// One pool worker: answers queued connections until the acceptor closes
+/// the queue and it is drained. A connection that waited longer than
+/// [`READ_TIMEOUT`] is shed unread; a panic while answering is contained
+/// to its connection, so the pool never shrinks.
+fn worker_loop(jobs: &Mutex<Receiver<Queued>>, ctx: &ServeCtx) {
+    let server = &ctx.server;
+    loop {
+        // The guard drops at the end of this `let` (a `while let` would
+        // hold it through the body): one idle worker waits in `recv`
+        // while the others answer.
+        let next = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok(job) = next else { return };
+        server.queued.fetch_sub(1, Ordering::Relaxed);
+        server.busy.fetch_add(1, Ordering::Relaxed);
+        if job.accepted.elapsed() > READ_TIMEOUT {
+            shed(job.stream, server);
+        } else {
+            let _ = caught(|| handle_connection(job.stream, ctx));
+        }
+        server.busy.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Answers `503` + `Retry-After: 1` without parsing the request, and
+/// closes the connection. Request bytes that already arrived are drained
+/// first (without blocking), so the close sends a FIN rather than a reset
+/// that could discard the reply.
+fn shed(mut stream: TcpStream, server: &ServerMetrics) {
+    server.shed.inc();
+    let _ = stream.set_nonblocking(true);
+    let mut sink = [0u8; 1024];
+    for _ in 0..MAX_HEADER_BYTES / sink.len() {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
+    let _ = write_response(
+        &mut stream,
+        "503 Service Unavailable",
+        "Retry-After: 1\r\n",
+        CT_JSON,
+        &error_body("server busy: connection shed under load; retry later"),
+    );
+}
+
+/// Runs `f`, turning a panic into its message.
+fn caught<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+    std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|panic| {
+        panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panic with a non-string payload".to_string())
+    })
+}
+
+/// Runs the ingest thread's body. A panic becomes the reason `/readyz`
+/// and `/healthz` report; every other route keeps answering, `/query`
+/// from the last published epoch.
+fn supervise_ingest(ctx: &ServeCtx, ingest: impl FnOnce()) {
+    if let Err(message) = caught(ingest) {
+        let _ = ctx.ingest_failure.set(format!("ingest stopped: {message}"));
+    }
+}
+
+/// Drains the stream into the detector it owns in chunks, publishing
+/// epochs (and the detector's metrics) at the configured cadence and once
+/// more after the drain.
 fn ingest_loop(
+    mut det: AnyDetector,
     els: &[(EventId, Timestamp)],
     ctx: &ServeCtx,
     stop: &AtomicBool,
@@ -282,50 +504,59 @@ fn ingest_loop(
         if stop.load(Ordering::SeqCst) {
             break;
         }
-        {
-            let mut d = ctx.det.lock().expect("detector lock");
-            for &(event, ts) in chunk {
-                let _ = d.ingest(event, ts);
-            }
-            // Publishing needs the detector stable, so it happens under the
-            // same lock acquisition — readers stay wait-free regardless.
-            publisher.maybe_publish(&d, &ctx.epochs);
+        for &(event, ts) in chunk {
+            let _ = det.ingest(event, ts);
         }
+        if publisher.maybe_publish(&det, &ctx.epochs) {
+            ctx.publish_metrics(&det);
+        }
+        ctx.live.store(det.watermark());
         ingested.fetch_add(chunk.len() as u64, Ordering::Relaxed);
     }
-    let mut d = ctx.det.lock().expect("detector lock");
-    d.finalize();
+    det.finalize();
+    // After `finalize`, so the scraped structure gauges are the finalized
+    // sizes, and before the final epoch, so a reader that sees the full
+    // stream also sees them.
+    ctx.publish_metrics(&det);
     // Unconditional final publish: once the drain completes, `/query`
     // must answer from the full stream, not the last cadence boundary.
-    ctx.epochs.publish(&d);
+    ctx.epochs.publish(&det);
 }
 
-/// Samples the cumulative per-stage counters into the self-profiler at a
-/// fixed cadence. The sampled snapshot is the same det + epoch merge the
-/// `/metrics` route serves, so profiler attribution can never disagree
-/// with the scraped histograms.
-fn profile_loop(ctx: &ServeCtx, stop: &AtomicBool, every_ms: u64) {
-    let period = Duration::from_millis(every_ms.max(1));
+/// Samples the cumulative per-stage counters into the self-profiler every
+/// `profile_every_ms` (0 = never) and watches the shutdown flag; once it
+/// is set, wakes the blocking accept with one connection to `bound`. The
+/// sampled snapshot is the one `/metrics` serves, so profiler attribution
+/// can never disagree with the scraped histograms.
+fn watch_loop(ctx: &ServeCtx, stop: &AtomicBool, profile_every_ms: u64, bound: SocketAddr) {
+    let period = Duration::from_millis(profile_every_ms);
+    let slice = if profile_every_ms > 0 { period.min(STOP_POLL) } else { STOP_POLL };
     let mut last: Option<Instant> = None; // first sample fires immediately
     while !stop.load(Ordering::SeqCst) {
-        if last.is_none_or(|l| l.elapsed() >= period) {
-            let snap = {
-                let d = ctx.det.lock().expect("detector lock");
-                d.queries().metrics().merge(&ctx.epochs.metrics())
-            };
-            ctx.profiler.sample(&snap);
+        if profile_every_ms > 0 && last.is_none_or(|l| l.elapsed() >= period) {
+            ctx.profiler.sample(&ctx.stage_metrics());
             last = Some(Instant::now());
         }
-        // Short slices keep the thread responsive to the shutdown flag
-        // regardless of the configured cadence.
-        std::thread::sleep(period.min(Duration::from_millis(50)));
+        std::thread::sleep(slice);
     }
+    let _ = TcpStream::connect_timeout(&loopback(bound), Duration::from_secs(1));
+}
+
+/// `addr` with an unspecified IP (`0.0.0.0`, `::`) replaced by loopback:
+/// where this process can reach its own listener.
+fn loopback(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 /// Answers one request on `stream` and closes it.
 fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let request = match read_request(&mut stream)? {
         ReadOutcome::Request(r) => r,
@@ -334,13 +565,14 @@ fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<(
             return write_response(
                 &mut stream,
                 "413 Payload Too Large",
+                "",
                 CT_JSON,
                 &error_body(&format!("request larger than {MAX_BODY_BYTES} bytes")),
             );
         }
     };
     let (status, content_type, body) = respond(&request, ctx);
-    write_response(&mut stream, status, content_type, &body)
+    write_response(&mut stream, status, "", content_type, &body)
 }
 
 /// Routes one parsed request. Unknown paths get `404`; known paths with
@@ -351,15 +583,12 @@ fn respond(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, String
         ("GET", "/metrics") => {
             // Refresh the staleness gauges from the live watermark before
             // merging, so scrapes see the current epoch age / arrival lag.
-            let (snap, live) = {
-                let d = ctx.det.lock().expect("detector lock");
-                (d.queries().metrics(), d.watermark())
-            };
-            ctx.epochs.record_staleness(live);
-            let merged = snap
+            ctx.epochs.record_staleness(ctx.live.load());
+            let merged = ctx
+                .stage_metrics()
                 .merge(&ctx.tracer.metrics_snapshot())
-                .merge(&ctx.epochs.metrics())
-                .merge(&ctx.profiler.metrics_snapshot());
+                .merge(&ctx.profiler.metrics_snapshot())
+                .merge(&ctx.server.snapshot());
             (
                 "200 OK",
                 "application/openmetrics-text; version=1.0.0; charset=utf-8",
@@ -834,18 +1063,21 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
     }))
 }
 
+/// Writes one response in a single `write`. `headers` are extra header
+/// lines, each ending in `\r\n` (empty for none).
 fn write_response(
     stream: &mut TcpStream,
     status: &str,
+    headers: &str,
     content_type: &str,
     body: &str,
 ) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    let mut out = format!(
+        "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{headers}Connection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    out.push_str(body);
+    stream.write_all(out.as_bytes())?;
     stream.flush()
 }
 
@@ -1134,6 +1366,9 @@ mod tests {
     fn serve_rejects_non_get_and_survives_garbage() {
         let input = fixture("serve-bad.tsv");
         with_server(&input, &flags(1), &opts(8_192), |addr| {
+            // The final /healthz needs genesis; the pool answers faster
+            // than the first ingest chunk publishes it.
+            wait_ready(addr);
             // DELETE on a known path is refused but answered.
             let mut s = TcpStream::connect(addr).unwrap();
             write!(s, "DELETE /metrics HTTP/1.1\r\nHost: bed\r\n\r\n").unwrap();
@@ -1390,6 +1625,69 @@ mod tests {
                     assert_eq!(probes > 0, kind == "bursty_events", "{PROBES} after {kind}");
                 }
             });
+        }
+    }
+
+    #[test]
+    fn metrics_scrape_answers_while_a_large_stream_ingests() {
+        // Enough arrivals that the drain outlasts the scrape by far.
+        const N: u64 = 400_000;
+        let path = std::env::temp_dir().join("bed-serve-tests").join("serve-large.tsv");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let text: String = (0..N).map(|t| format!("{}\t{t}\n", t % 8)).collect();
+        std::fs::write(&path, text).unwrap();
+        with_server(path.to_str().unwrap(), &flags(1), &opts(4_096), |addr| {
+            wait_ready(addr);
+            let started = Instant::now();
+            let (head, body) = get(addr, "/metrics");
+            let took = started.elapsed();
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            assert!(body.contains("bed_ingest_count_total"), "{body}");
+            assert!(body.contains("bed_epoch_lag_arrivals"), "{body}");
+            // The scrape never waits on the ingest thread.
+            assert!(took < Duration::from_secs(1), "scrape took {took:?}");
+            // ... and it landed mid-drain: the answering epoch is partial.
+            let (_, answer) = get(addr, "/query?kind=point&event=2&t=10&tau=4");
+            assert!(json_u64(&answer, "arrivals") < N, "ingest already drained: {answer}");
+        });
+    }
+
+    fn request(method: &str, target: &str) -> Request {
+        let (path, query) = target.split_once('?').unwrap_or((target, ""));
+        Request {
+            method: method.into(),
+            path: path.into(),
+            query: query.into(),
+            body: String::new(),
+        }
+    }
+
+    #[test]
+    fn ingest_panic_turns_readiness_red_and_keeps_answering() {
+        let mut det = detector_from_flags(&flags(1)).unwrap();
+        let ctx = ServeCtx::new(&mut det, &opts(128));
+        for t in 0..64u64 {
+            det.ingest(EventId((t % 8) as u32), Timestamp(t)).unwrap();
+        }
+        ctx.epochs.publish(&det);
+        assert!(ctx.readiness().0, "{}", ctx.readiness().1);
+
+        // The same helper the ingest thread runs under contains the panic.
+        supervise_ingest(&ctx, || panic!("chunk 3 exploded"));
+
+        for route in ["/readyz", "/healthz"] {
+            let (status, _, body) = respond(&request("GET", route), &ctx);
+            assert_eq!(status, "503 Service Unavailable", "{route}: {body}");
+            assert!(body.contains("ingest stopped: chunk 3 exploded"), "{route}: {body}");
+        }
+        // Everything else answers: /query from the last published epoch.
+        let (status, _, body) =
+            respond(&request("GET", "/query?kind=point&event=2&t=60&tau=8"), &ctx);
+        assert_eq!(status, "200 OK", "{body}");
+        assert!(body.contains("\"arrivals\":64"), "{body}");
+        for route in ["/metrics", "/livez"] {
+            let (status, _, body) = respond(&request("GET", route), &ctx);
+            assert_eq!(status, "200 OK", "{route}: {body}");
         }
     }
 }
