@@ -13,7 +13,10 @@
 //! - `GET /metrics` — the detector's metrics merged with the tracer's,
 //!   the epoch publisher's (staleness gauges refreshed at scrape time),
 //!   the self-profiler's and the server's own, rendered as OpenMetrics
-//!   text exposition with trace-id exemplars on the latency histograms;
+//!   text exposition with trace-id exemplars on the latency histograms.
+//!   The detector's families (`bed_ingest_count_total`, the structure
+//!   sizes, ...) are as of the latest published epoch, while
+//!   `bed_epoch_lag_arrivals` says how far live ingest has run past it;
 //! - `GET /livez` — liveness (`ok` whenever the process answers);
 //! - `GET /readyz` — readiness: `503` with a JSON reason list until the
 //!   genesis epoch is published (and the state dir, when configured, is
@@ -46,11 +49,12 @@
 //!   `Retry-After: 1` itself and closes the connection: load beyond
 //!   capacity is shed explicitly instead of piling up as threads.
 //! - **Workers**, a fixed pool of `WORKERS` (8): each takes one connection
-//!   at a time off the queue and answers it. A worker waits at most
-//!   `READ_TIMEOUT` (500 ms) for a request's bytes, and a connection that
-//!   already waited longer than that in the queue gets the same `503`
-//!   unread, so a flood of idle sockets drains instead of stalling real
-//!   requests.
+//!   at a time off the queue and answers it. A worker gives a request
+//!   `READ_TIMEOUT` (500 ms) in all to arrive, one deadline however the
+//!   client spaces its bytes, and a connection that already waited longer
+//!   than that in the queue gets the same `503` unread. Idle or trickling
+//!   sockets therefore hold a worker for at most 500 ms each, and drain
+//!   instead of stalling real requests.
 //! - **Ingest** owns the detector; nothing else touches it, so there is no
 //!   detector lock. At every epoch publish it also publishes the
 //!   detector's metrics snapshot, and after every chunk it stores the live
@@ -103,13 +107,26 @@ const MAX_HEADER_BYTES: usize = 8 * 1024;
 /// read — a query body is a few hundred bytes.
 const MAX_BODY_BYTES: usize = 64 * 1024;
 
-/// Worker threads answering connections.
+/// Worker threads answering connections. Set by slow clients, not by
+/// throughput: bedbench's `serve` traffic keeps two connections open, and
+/// its p50 is the same within noise at 2, 4 and 8 workers. What the pool
+/// size buys is room for clients that hold a worker for the full
+/// [`READ_TIMEOUT`]: two closed-loop query clients are answered at full
+/// speed beside `WORKERS - 1` such clients (measured at 1 of 2, 3 of 4
+/// and 7 of 8 workers), and the queue fills, most answers turning `503`,
+/// once they take every worker. 8 workers cost 0.6–3.8 MiB more
+/// resident memory than 2 (`results/serve_pool.md`).
 const WORKERS: usize = 8;
 /// Accepted connections that may wait for a worker; the acceptor sheds
-/// beyond this.
+/// beyond this. It bounds the sockets held waiting rather than setting a
+/// measured rate: no benchmark fills it, and under a flood of idle
+/// sockets 16, 64 and 256 all recover within one [`READ_TIMEOUT`]
+/// (`results/serve_pool.md`). 64 leaves room for a burst of
+/// `WORKERS + QUEUE_DEPTH` simultaneous connections without a `503`.
 const QUEUE_DEPTH: usize = 64;
-/// How long a worker waits for a request's bytes, and so the longest a
-/// connection may wait in the queue before it is shed unread.
+/// The whole time a worker waits for one request's bytes (one deadline
+/// per connection, not per read), and so the longest a connection may
+/// wait in the queue before it is shed unread.
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
 /// How often the watcher thread checks the shutdown flag.
 const STOP_POLL: Duration = Duration::from_millis(20);
@@ -154,6 +171,11 @@ pub(crate) struct ServeOptions {
 /// it publishes — epochs, its metrics snapshot, the live watermark.
 struct ServeCtx {
     epochs: DetectorEpochs,
+    /// Generation of the latest publish that reached every shard's cell.
+    /// `epochs.generation()` moves as soon as the first cell does, so on a
+    /// sharded layout it runs ahead of this mid-publish; readiness and
+    /// `/query` wait on this one.
+    published: AtomicU64,
     /// The detector's metrics as of its latest publish (single writer:
     /// the ingest thread).
     det_metrics: SnapshotCell<MetricsSnapshot>,
@@ -185,6 +207,7 @@ impl ServeCtx {
         epochs.set_tracer(Arc::clone(&tracer));
         let ctx = ServeCtx {
             epochs,
+            published: AtomicU64::new(0),
             det_metrics: SnapshotCell::new(),
             live: LiveWatermark::default(),
             tracer,
@@ -201,6 +224,16 @@ impl ServeCtx {
     /// Publishes `det`'s metrics snapshot for `/metrics` and the profiler.
     fn publish_metrics(&self, det: &AnyDetector) {
         self.det_metrics.publish(det.watermark(), Arc::new(det.queries().metrics()));
+    }
+
+    /// Records that the publish which just returned reached every cell.
+    fn mark_published(&self) {
+        self.published.store(self.epochs.generation(), Ordering::Release);
+    }
+
+    /// Generation of the latest complete publish (0 before genesis).
+    fn published(&self) -> u64 {
+        self.published.load(Ordering::Acquire)
     }
 
     /// The detector's last published metrics merged with the epoch
@@ -220,7 +253,7 @@ impl ServeCtx {
     /// and the state dir (when configured) must accept writes.
     fn unready_reasons(&self) -> Vec<String> {
         let mut reasons: Vec<String> = self.ingest_failure.get().cloned().into_iter().collect();
-        if self.epochs.generation() == 0 {
+        if self.published() == 0 {
             reasons.push("no epoch published yet (ingest has not reached genesis)".to_string());
         }
         if let Some(dir) = &self.state_dir {
@@ -239,7 +272,7 @@ impl ServeCtx {
     fn readiness(&self) -> (bool, String) {
         let reasons = self.unready_reasons();
         if reasons.is_empty() {
-            (true, format!("{{\"ready\":true,\"generation\":{}}}\n", self.epochs.generation()))
+            (true, format!("{{\"ready\":true,\"generation\":{}}}\n", self.published()))
         } else {
             let list = reasons
                 .iter()
@@ -439,18 +472,14 @@ fn worker_loop(jobs: &Mutex<Receiver<Queued>>, ctx: &ServeCtx) {
 }
 
 /// Answers `503` + `Retry-After: 1` without parsing the request, and
-/// closes the connection. Request bytes that already arrived are drained
-/// first (without blocking), so the close sends a FIN rather than a reset
-/// that could discard the reply.
+/// closes the connection without blocking. The reply is followed by a FIN
+/// (`shutdown(Write)`), and request bytes that already arrived are drained
+/// before and after it: closing with unread bytes would send a reset,
+/// which can make the client discard the reply.
 fn shed(mut stream: TcpStream, server: &ServerMetrics) {
     server.shed.inc();
     let _ = stream.set_nonblocking(true);
-    let mut sink = [0u8; 1024];
-    for _ in 0..MAX_HEADER_BYTES / sink.len() {
-        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
-            break;
-        }
-    }
+    drain(&mut stream);
     let _ = write_response(
         &mut stream,
         "503 Service Unavailable",
@@ -458,6 +487,19 @@ fn shed(mut stream: TcpStream, server: &ServerMetrics) {
         CT_JSON,
         &error_body("server busy: connection shed under load; retry later"),
     );
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    drain(&mut stream);
+}
+
+/// Reads and discards what a non-blocking `stream` already holds, up to
+/// one header block.
+fn drain(stream: &mut TcpStream) {
+    let mut sink = [0u8; 1024];
+    for _ in 0..MAX_HEADER_BYTES / sink.len() {
+        if !matches!(stream.read(&mut sink), Ok(n) if n > 0) {
+            break;
+        }
+    }
 }
 
 /// Runs `f`, turning a panic into its message.
@@ -508,6 +550,7 @@ fn ingest_loop(
             let _ = det.ingest(event, ts);
         }
         if publisher.maybe_publish(&det, &ctx.epochs) {
+            ctx.mark_published();
             ctx.publish_metrics(&det);
         }
         ctx.live.store(det.watermark());
@@ -521,6 +564,7 @@ fn ingest_loop(
     // Unconditional final publish: once the drain completes, `/query`
     // must answer from the full stream, not the last cadence boundary.
     ctx.epochs.publish(&det);
+    ctx.mark_published();
 }
 
 /// Samples the cumulative per-stage counters into the self-profiler every
@@ -554,11 +598,12 @@ fn loopback(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-/// Answers one request on `stream` and closes it.
+/// Answers one request on `stream` and closes it. The request's bytes
+/// must arrive within [`READ_TIMEOUT`] of this call, however the client
+/// spaces them.
 fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_TIMEOUT))?;
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let request = match read_request(&mut stream)? {
+    let request = match read_request(&mut stream, Instant::now() + READ_TIMEOUT)? {
         ReadOutcome::Request(r) => r,
         ReadOutcome::Empty => return Ok(()),
         ReadOutcome::TooLarge => {
@@ -655,9 +700,9 @@ fn query_route(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, St
         Ok(r) => r,
         Err(e) => return bad_request(&e),
     };
-    // Epoch views must not be dereferenced before the genesis publish;
-    // readiness is the contract, and the 503 names it.
-    if ctx.epochs.generation() == 0 {
+    // Epoch views must not be dereferenced before the genesis publish has
+    // reached every shard; readiness is the contract, and the 503 names it.
+    if ctx.published() == 0 {
         return (
             "503 Service Unavailable",
             CT_JSON,
@@ -999,9 +1044,10 @@ enum ReadOutcome {
 
 /// Reads one request: headers up to `\r\n\r\n` (capped), then as much of
 /// the declared `Content-Length` body as the client sends (capped, before
-/// any of it is buffered). A stalled client's request is served from
-/// whatever arrived — exactly like the previous scrape-only server.
-fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
+/// any of it is buffered). Reading stops at `deadline` however the bytes
+/// are spaced, and a stalled client's request is served from whatever
+/// arrived by then.
+fn read_request(stream: &mut TcpStream, deadline: Instant) -> std::io::Result<ReadOutcome> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     let header_end = loop {
@@ -1011,14 +1057,9 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
         if buf.len() > MAX_HEADER_BYTES {
             return Ok(ReadOutcome::TooLarge);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break buf.len(),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                break buf.len()
-            }
-            Err(e) => return Err(e),
+        match read_before(stream, &mut chunk, deadline)? {
+            Some(0) | None => break buf.len(),
+            Some(n) => buf.extend_from_slice(&chunk[..n]),
         }
     };
 
@@ -1046,12 +1087,9 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
 
     let mut body = buf[header_end.min(buf.len())..].to_vec();
     while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => break,
-            Err(e) => return Err(e),
+        match read_before(stream, &mut chunk, deadline)? {
+            Some(0) | None => break,
+            Some(n) => body.extend_from_slice(&chunk[..n]),
         }
     }
     body.truncate(content_length);
@@ -1061,6 +1099,30 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<ReadOutcome> {
         query: query.to_string(),
         body: String::from_utf8_lossy(&body).into_owned(),
     }))
+}
+
+/// One `read` that returns by `deadline`: `Some(n)` bytes (0 at end of
+/// stream), or `None` once the deadline has passed with nothing read.
+fn read_before(
+    stream: &mut TcpStream,
+    chunk: &mut [u8],
+    deadline: Instant,
+) -> std::io::Result<Option<usize>> {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(None);
+        }
+        stream.set_read_timeout(Some(left))?;
+        match stream.read(chunk) {
+            Ok(n) => return Ok(Some(n)),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                return Ok(None)
+            }
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Writes one response in a single `write`. `headers` are extra header
@@ -1662,6 +1724,37 @@ mod tests {
         }
     }
 
+    /// The genesis publish of a sharded layout fills the shards' cells one
+    /// after another. A query that lands in between, on a shard whose cell
+    /// is still empty, must get a `503` (not ready) or an answer, never a
+    /// connection closed by a panicking dispatch.
+    #[test]
+    fn queries_racing_the_sharded_genesis_publish_are_answered() {
+        let input = fixture("genesis.tsv");
+        // Wide sketches make each shard's clone slow enough that the
+        // window between the first and the last cell is easy to hit.
+        let flags = DetectorFlags { universe: Some(4096), epsilon: 0.0005, ..flags(8) };
+        let opts = ServeOptions { profile_every_ms: 0, ..opts(1 << 20) };
+        for _ in 0..3 {
+            with_server(&input, &flags, &opts, |addr| {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let mut answered = 0;
+                while answered < 16 {
+                    assert!(Instant::now() < deadline, "no answers within 10 s");
+                    for event in 0..8 {
+                        let (head, body) =
+                            get(addr, &format!("/query?kind=point&event={event}&t=250&tau=40"));
+                        if head.starts_with("HTTP/1.1 200") {
+                            answered += 1;
+                        } else {
+                            assert!(head.starts_with("HTTP/1.1 503"), "{head} {body}");
+                        }
+                    }
+                }
+            });
+        }
+    }
+
     #[test]
     fn ingest_panic_turns_readiness_red_and_keeps_answering() {
         let mut det = detector_from_flags(&flags(1)).unwrap();
@@ -1670,6 +1763,7 @@ mod tests {
             det.ingest(EventId((t % 8) as u32), Timestamp(t)).unwrap();
         }
         ctx.epochs.publish(&det);
+        ctx.mark_published();
         assert!(ctx.readiness().0, "{}", ctx.readiness().1);
 
         // The same helper the ingest thread runs under contains the panic.
