@@ -169,13 +169,10 @@ pub(crate) struct ServeOptions {
 /// Everything the worker, ingest and watcher threads share. The detector
 /// is not here: the ingest thread owns it, and the other threads read what
 /// it publishes — epochs, its metrics snapshot, the live watermark.
+/// Readiness and the `/query` gate read `epochs.generation()`, which turns
+/// positive only once every shard of the genesis epoch is visible.
 struct ServeCtx {
     epochs: DetectorEpochs,
-    /// Generation of the latest publish that reached every shard's cell.
-    /// `epochs.generation()` moves as soon as the first cell does, so on a
-    /// sharded layout it runs ahead of this mid-publish; readiness and
-    /// `/query` wait on this one.
-    published: AtomicU64,
     /// The detector's metrics as of its latest publish (single writer:
     /// the ingest thread).
     det_metrics: SnapshotCell<MetricsSnapshot>,
@@ -207,7 +204,6 @@ impl ServeCtx {
         epochs.set_tracer(Arc::clone(&tracer));
         let ctx = ServeCtx {
             epochs,
-            published: AtomicU64::new(0),
             det_metrics: SnapshotCell::new(),
             live: LiveWatermark::default(),
             tracer,
@@ -223,17 +219,7 @@ impl ServeCtx {
 
     /// Publishes `det`'s metrics snapshot for `/metrics` and the profiler.
     fn publish_metrics(&self, det: &AnyDetector) {
-        self.det_metrics.publish(det.watermark(), Arc::new(det.queries().metrics()));
-    }
-
-    /// Records that the publish which just returned reached every cell.
-    fn mark_published(&self) {
-        self.published.store(self.epochs.generation(), Ordering::Release);
-    }
-
-    /// Generation of the latest complete publish (0 before genesis).
-    fn published(&self) -> u64 {
-        self.published.load(Ordering::Acquire)
+        self.det_metrics.publish(det.watermark(), || det.queries().metrics());
     }
 
     /// The detector's last published metrics merged with the epoch
@@ -253,7 +239,7 @@ impl ServeCtx {
     /// and the state dir (when configured) must accept writes.
     fn unready_reasons(&self) -> Vec<String> {
         let mut reasons: Vec<String> = self.ingest_failure.get().cloned().into_iter().collect();
-        if self.published() == 0 {
+        if self.epochs.generation() == 0 {
             reasons.push("no epoch published yet (ingest has not reached genesis)".to_string());
         }
         if let Some(dir) = &self.state_dir {
@@ -272,7 +258,7 @@ impl ServeCtx {
     fn readiness(&self) -> (bool, String) {
         let reasons = self.unready_reasons();
         if reasons.is_empty() {
-            (true, format!("{{\"ready\":true,\"generation\":{}}}\n", self.published()))
+            (true, format!("{{\"ready\":true,\"generation\":{}}}\n", self.epochs.generation()))
         } else {
             let list = reasons
                 .iter()
@@ -550,7 +536,6 @@ fn ingest_loop(
             let _ = det.ingest(event, ts);
         }
         if publisher.maybe_publish(&det, &ctx.epochs) {
-            ctx.mark_published();
             ctx.publish_metrics(&det);
         }
         ctx.live.store(det.watermark());
@@ -564,7 +549,6 @@ fn ingest_loop(
     // Unconditional final publish: once the drain completes, `/query`
     // must answer from the full stream, not the last cadence boundary.
     ctx.epochs.publish(&det);
-    ctx.mark_published();
 }
 
 /// Samples the cumulative per-stage counters into the self-profiler every
@@ -700,9 +684,9 @@ fn query_route(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, St
         Ok(r) => r,
         Err(e) => return bad_request(&e),
     };
-    // Epoch views must not be dereferenced before the genesis publish has
-    // reached every shard; readiness is the contract, and the 503 names it.
-    if ctx.published() == 0 {
+    // Epoch views must not be dereferenced before the genesis publish;
+    // readiness is the contract, and the 503 names it.
+    if ctx.epochs.generation() == 0 {
         return (
             "503 Service Unavailable",
             CT_JSON,
@@ -1724,15 +1708,15 @@ mod tests {
         }
     }
 
-    /// The genesis publish of a sharded layout fills the shards' cells one
-    /// after another. A query that lands in between, on a shard whose cell
-    /// is still empty, must get a `503` (not ready) or an answer, never a
-    /// connection closed by a panicking dispatch.
+    /// A query that races the genesis publish of a sharded layout must get
+    /// a `503` (not ready) or an answer, never a connection closed by a
+    /// panicking dispatch: `epochs.generation()` may only turn positive
+    /// once every shard of the genesis epoch is visible.
     #[test]
     fn queries_racing_the_sharded_genesis_publish_are_answered() {
         let input = fixture("genesis.tsv");
-        // Wide sketches make each shard's clone slow enough that the
-        // window between the first and the last cell is easy to hit.
+        // Wide sketches make each shard's clone slow enough that queries
+        // easily land while the genesis publish is still building.
         let flags = DetectorFlags { universe: Some(4096), epsilon: 0.0005, ..flags(8) };
         let opts = ServeOptions { profile_every_ms: 0, ..opts(1 << 20) };
         for _ in 0..3 {
@@ -1763,7 +1747,6 @@ mod tests {
             det.ingest(EventId((t % 8) as u32), Timestamp(t)).unwrap();
         }
         ctx.epochs.publish(&det);
-        ctx.mark_published();
         assert!(ctx.readiness().0, "{}", ctx.readiness().1);
 
         // The same helper the ingest thread runs under contains the panic.

@@ -8,8 +8,8 @@
 //! decouples them with a seqlock/RCU-style generation scheme:
 //!
 //! * A writer periodically **publishes** an immutable, finalized clone of
-//!   its detector into a [`SnapshotCell`] (one per shard), at a cadence
-//!   borrowed from the checkpoint machinery ([`EpochPublisher`] wraps a
+//!   its detector into a [`SnapshotCell`], at a cadence borrowed from the
+//!   checkpoint machinery ([`EpochPublisher`] wraps a
 //!   [`CheckpointPolicy`]). Publishing clones the detector *outside* any
 //!   reader-visible critical section, bumps the cell's generation counter
 //!   with `Release` ordering, and never waits for readers.
@@ -19,10 +19,12 @@
 //!   allocation**. Only when the generation moved does the reader copy the
 //!   new epoch handle (an `Arc` clone — still allocation-free) out of a
 //!   slot ring.
-//! * [`DetectorEpochs`] owns the cells for a whole [`AnyDetector`] layout
-//!   and [`EpochView`] implements [`BurstQueries`] on top, so the serving
-//!   layer can answer all five canonical query kinds from the latest
-//!   published epoch while ingest continues.
+//! * [`DetectorEpochs`] owns **one cell per layout**: each generation holds
+//!   a finalized clone of every shard (one clone for the plain layout), so
+//!   a generation is complete the moment it is visible. [`EpochView`]
+//!   implements [`BurstQueries`] on top, so the serving layer can answer
+//!   all five canonical query kinds from the latest published epoch while
+//!   ingest continues.
 //!
 //! ## Why readers never block ingest (and effectively never wait)
 //!
@@ -31,15 +33,18 @@
 //! `Release` store of `g`. A reader that observed generation `g` via the
 //! `Acquire` load therefore finds slot `g % EPOCH_SLOTS` fully written
 //! (release/acquire ordering), and the writer publishing `g + 1` locks a
-//! *different* slot — the same slot is only relocked once the writer has
-//! lapped the reader by `EPOCH_SLOTS` whole generations. If that happens,
-//! the slot's embedded generation no longer matches, and the reader
-//! retries against the newest generation (counted in
-//! `epoch.reader_retries`) — the classic seqlock validate-and-retry, built
-//! from `Mutex` slots instead of raw pointer flips because `bed-core`
-//! forbids `unsafe`. The writer never blocks either way: it locks a slot
-//! no reader can be parked on unless that reader is already
-//! `EPOCH_SLOTS` generations stale.
+//! *different* slot. Before it builds generation `g + EPOCH_SLOTS`, the
+//! writer empties that slot, freeing generation `g` (so a publish never
+//! holds `EPOCH_SLOTS` retained generations beside the one it builds). A
+//! reader is therefore lapped after `EPOCH_SLOTS − 1` newer generations,
+//! as soon as the writer begins the next one: the slot's embedded
+//! generation no longer matches, and the reader retries against the
+//! newest generation (counted in `epoch.reader_retries`) — the classic
+//! seqlock validate-and-retry, built from `Mutex` slots instead of raw
+//! pointer flips because `bed-core` forbids `unsafe`. The writer never
+//! blocks either way: it holds a slot lock only to take or store an
+//! `Arc`, never while it builds, and no reader parks on a slot unless it
+//! is already lapped.
 //!
 //! Bit-for-bit answer stability: ingest is deterministic and `Clone` is a
 //! deep copy, so a published epoch at watermark `A` is byte-identical to a
@@ -60,11 +65,11 @@ use crate::detector::BurstDetector;
 use crate::error::BedError;
 use crate::metrics::EpochMetrics;
 use crate::query::{BurstQueries, QueryRequest, QueryResponse};
-use crate::shard::{fan_out, route};
+use crate::shard::dispatch;
 
 /// Slots in a [`SnapshotCell`]'s ring. A reader only retries once the
-/// writer laps it by this many generations inside one (tiny) read-side
-/// critical section.
+/// writer publishes `EPOCH_SLOTS − 1` generations past the one it chases
+/// and begins the next, inside one (tiny) read-side critical section.
 pub const EPOCH_SLOTS: usize = 4;
 
 /// One published snapshot: an immutable, finalized detector state plus
@@ -104,7 +109,7 @@ struct Slot<D> {
 /// See the [module docs](crate::epoch) for the protocol and its ordering
 /// argument. The cell is generic so the scheduler-driven protocol tests
 /// can publish trivial payloads; detectors use
-/// [`DetectorEpochs`], which manages one cell per shard.
+/// [`DetectorEpochs`], which publishes every shard in one cell.
 #[derive(Debug)]
 pub struct SnapshotCell<D> {
     /// Latest published generation; the `Release` store here is what makes
@@ -132,16 +137,26 @@ impl<D> SnapshotCell<D> {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Publishes the next generation. Single writer assumed (the cell is
-    /// owned by one [`DetectorEpochs`], whose publisher is `&mut`-gated);
-    /// readers are never blocked and never see a half-written epoch.
-    pub fn publish(&self, watermark: Watermark, data: Arc<D>) -> u64 {
+    /// Publishes `build()` as the next generation and returns it. Single
+    /// writer assumed (the cell is owned by one [`DetectorEpochs`], whose
+    /// publisher is `&mut`-gated); readers are never blocked and never see
+    /// a half-written epoch.
+    ///
+    /// The slot the new generation will take is emptied *before* `build`
+    /// runs, so the oldest retained generation is freed (unless a reader
+    /// still caches it) before its successor is allocated.
+    pub fn publish(&self, watermark: Watermark, build: impl FnOnce() -> D) -> u64 {
         let next = self.generation.load(Ordering::Relaxed) + 1;
-        {
-            let mut slot = self.slots[next as usize % EPOCH_SLOTS].lock().expect("slot lock");
-            slot.generation = next;
-            slot.epoch = Some(Epoch { generation: next, watermark, data });
-        }
+        let slot = &self.slots[next as usize % EPOCH_SLOTS];
+        let retired = {
+            let mut slot = slot.lock().expect("slot lock");
+            slot.generation = 0;
+            slot.epoch.take()
+        };
+        drop(retired);
+        let data = Arc::new(build());
+        *slot.lock().expect("slot lock") =
+            Slot { generation: next, epoch: Some(Epoch { generation: next, watermark, data }) };
         self.generation.store(next, Ordering::Release);
         next
     }
@@ -250,43 +265,36 @@ impl<D> Default for EpochReader<D> {
 }
 
 /// The epoch publication surface of one [`AnyDetector`]: one
-/// [`SnapshotCell`] per shard (a single cell for the plain layout), all
-/// published together under one global watermark so fan-out readers can
-/// assemble a coherent generation vector.
+/// [`SnapshotCell`] whose every generation holds a finalized clone of each
+/// shard (a single clone for the plain layout), all under one global
+/// watermark.
 #[derive(Debug)]
 pub struct DetectorEpochs {
     config: DetectorConfig,
-    /// 0 for the plain layout, `n ≥ 1` for a sharded one (mirrors
-    /// [`AnyDetector::layout_shards`]).
-    layout_shards: u32,
-    cells: Vec<SnapshotCell<BurstDetector>>,
+    cell: SnapshotCell<Vec<BurstDetector>>,
     /// Publish metrics plus the instrumentation of every query the views
     /// answer (scraped with the rest of `/metrics`).
     metrics: EpochMetrics,
 }
 
 impl DetectorEpochs {
-    /// Cells matching `det`'s layout, with `det`'s current state published
-    /// as generation 1 — views always find an epoch to answer from.
+    /// Epochs for `det`'s layout, with `det`'s current state published as
+    /// generation 1 — views always find an epoch to answer from.
     pub fn new(det: &AnyDetector) -> Self {
         let epochs = Self::new_unpublished(det);
         epochs.publish(det);
         epochs
     }
 
-    /// Cells matching `det`'s layout with **nothing published yet**
+    /// Epochs for `det`'s layout with **nothing published yet**
     /// (generation 0). Lets a server expose readiness truthfully: views
     /// must not be queried until the first (genesis) publish — gate on
-    /// [`DetectorEpochs::generation`]` > 0`.
+    /// [`DetectorEpochs::generation`]` > 0`, which turns positive only
+    /// once every shard of the genesis epoch is visible.
     pub fn new_unpublished(det: &AnyDetector) -> Self {
-        let n = match det {
-            AnyDetector::Plain(_) => 1,
-            AnyDetector::Sharded(d) => d.num_shards(),
-        };
         DetectorEpochs {
             config: *det.config(),
-            layout_shards: det.layout_shards(),
-            cells: (0..n).map(|_| SnapshotCell::new()).collect(),
+            cell: SnapshotCell::new(),
             metrics: EpochMetrics::new(),
         }
     }
@@ -299,7 +307,8 @@ impl DetectorEpochs {
     }
 
     /// Publishes finalized clones of `det`'s current state — one per
-    /// shard, all under one global watermark — and returns that watermark.
+    /// shard, all in one generation under one global watermark — and
+    /// returns that watermark.
     ///
     /// The caller must hold `det` stable for the duration (it is the
     /// single writer); readers are never blocked. The live detector is
@@ -309,23 +318,17 @@ impl DetectorEpochs {
         let trace = self.metrics.queries.tracer().start_always(SpanName::EPOCH_PUBLISH);
         let started = std::time::Instant::now();
         let watermark = det.watermark();
-        match det {
-            AnyDetector::Plain(d) => {
-                let mut clone = (**d).clone();
-                clone.finalize();
-                self.cells[0].publish(watermark, Arc::new(clone));
-            }
-            AnyDetector::Sharded(d) => {
-                for (i, cell) in self.cells.iter().enumerate() {
-                    let mut clone = d.shard(i).clone();
-                    clone.finalize();
-                    cell.publish(watermark, Arc::new(clone));
-                }
-            }
-        }
+        let finalized = |d: &BurstDetector| {
+            let mut clone = d.clone();
+            clone.finalize();
+            clone
+        };
+        let generation = self.cell.publish(watermark, || match det {
+            AnyDetector::Plain(d) => vec![finalized(d)],
+            AnyDetector::Sharded(d) => (0..d.num_shards()).map(|i| finalized(d.shard(i))).collect(),
+        });
         self.metrics.published(started.elapsed());
         if let Some(trace) = trace {
-            let generation = self.cells[0].generation();
             trace.finish(move || {
                 format!("epoch publish generation={generation} arrivals={}", watermark.arrivals)
             });
@@ -333,20 +336,23 @@ impl DetectorEpochs {
         watermark
     }
 
-    /// The latest published generation (cells move in lockstep; mid-
-    /// publish, this is the first cell's — the freshest — generation).
+    /// The latest published generation (0 before genesis). Every shard of
+    /// that generation is visible once this returns it.
     pub fn generation(&self) -> u64 {
-        self.cells[0].generation()
+        self.cell.generation()
+    }
+
+    /// The latest published epoch (`None` before genesis), read through a
+    /// throwaway cursor.
+    fn latest(&self) -> Option<Epoch<Vec<BurstDetector>>> {
+        let mut r = EpochReader::new();
+        r.refresh(&self.cell);
+        r.epoch
     }
 
     /// Watermark of the latest published epoch (`None` before genesis).
     pub fn published_watermark(&self) -> Option<Watermark> {
-        if self.generation() == 0 {
-            return None;
-        }
-        let mut r = EpochReader::new();
-        r.refresh(&self.cells[0]);
-        r.current().map(|e| e.watermark)
+        self.latest().map(|e| e.watermark)
     }
 
     /// Refreshes the ingest-side staleness gauges from the live detector's
@@ -369,25 +375,13 @@ impl DetectorEpochs {
         );
     }
 
-    /// Shard count of the published layout: 0 = plain (one cell).
-    pub fn layout_shards(&self) -> u32 {
-        self.layout_shards
-    }
-
     /// Total resident bytes of the published epochs' struct-of-arrays
     /// probe banks. Publishing finalizes each clone, which builds its
     /// bank, so this is non-zero for every grid layout — readers answer
     /// through the vectorized kernels, and operators can see the mirror's
     /// memory cost here.
     pub fn bank_bytes(&self) -> usize {
-        self.cells
-            .iter()
-            .map(|cell| {
-                let mut r = EpochReader::new();
-                r.refresh(cell);
-                r.current().map_or(0, |e| e.data.soa_bank_bytes())
-            })
-            .sum()
+        self.latest().map_or(0, |e| e.data.iter().map(BurstDetector::soa_bank_bytes).sum())
     }
 
     /// The configuration the published detectors were built with.
@@ -395,14 +389,14 @@ impl DetectorEpochs {
         &self.config
     }
 
-    /// A fresh query view over the latest published epochs. Views are
-    /// cheap (`EPOCH_SLOTS`-independent, one cursor per cell) and intended
-    /// to be per-thread: each owns its [`QueryScratch`], preserving the
+    /// A fresh query view over the latest published epoch. Views are
+    /// cheap (one cursor, `EPOCH_SLOTS`-independent) and intended to be
+    /// per-thread: each owns its [`QueryScratch`], preserving the
     /// zero-allocation kernel guarantees per reader.
     pub fn view(&self) -> EpochView<'_> {
         EpochView {
             epochs: self,
-            readers: RefCell::new((0..self.cells.len()).map(|_| EpochReader::new()).collect()),
+            reader: RefCell::new(EpochReader::new()),
             scratch: RefCell::new(QueryScratch::new()),
             answered: Cell::new((0, Watermark::default())),
         }
@@ -413,7 +407,7 @@ impl DetectorEpochs {
     /// `epoch.generation` gauge — plus the `query.*` counts and latencies
     /// of every query the views answered.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.sync_reader_retries(self.cells.iter().map(SnapshotCell::reader_retries).sum());
+        self.metrics.sync_reader_retries(self.cell.reader_retries());
         self.metrics.set_gauge("epoch.generation", self.generation() as f64);
         self.metrics.snapshot()
     }
@@ -426,13 +420,12 @@ impl DetectorEpochs {
 pub struct EpochPublisher {
     policy: CheckpointPolicy,
     last_arrivals: Option<u64>,
-    published: u64,
 }
 
 impl EpochPublisher {
     /// A publisher gated by `policy`.
     pub fn new(policy: CheckpointPolicy) -> Self {
-        EpochPublisher { policy, last_arrivals: None, published: 0 }
+        EpochPublisher { policy, last_arrivals: None }
     }
 
     /// Publishes iff the policy says an epoch is due; returns whether one
@@ -450,31 +443,23 @@ impl EpochPublisher {
         }
         epochs.publish(det);
         self.last_arrivals = Some(arrivals);
-        self.published += 1;
         true
-    }
-
-    /// Epochs published through this gate (the genesis publish of
-    /// [`DetectorEpochs::new`] is not counted).
-    pub fn published(&self) -> u64 {
-        self.published
     }
 }
 
 /// A per-reader [`BurstQueries`] implementation answering from the latest
-/// published epochs of a [`DetectorEpochs`].
+/// published epoch of a [`DetectorEpochs`].
 ///
-/// Per-event query kinds refresh only the owning shard's cursor (same
-/// routing as the writer); bursty-event kinds refresh every cursor and
-/// retry until the generation vector is coherent (all cells on the same
-/// publish), then fan out and merge exactly like
-/// [`crate::ShardedDetector`]. Every answer records the epoch it came from
-/// — [`Self::answer_watermark`] is what the concurrency harness checks
-/// against its oracle rebuilds.
+/// Each query refreshes the view's one cursor and routes over that
+/// generation's shards exactly like the live [`crate::ShardedDetector`]
+/// (one shared router): per-event kinds to the owning shard, bursty-event
+/// kinds fanned out and merged. Every answer records the epoch it came
+/// from — [`Self::answer_watermark`] is what the concurrency harness
+/// checks against its oracle rebuilds.
 #[derive(Debug)]
 pub struct EpochView<'a> {
     epochs: &'a DetectorEpochs,
-    readers: RefCell<Vec<EpochReader<BurstDetector>>>,
+    reader: RefCell<EpochReader<Vec<BurstDetector>>>,
     /// Per-view working memory — one warm scratch per reader thread keeps
     /// the fused kernels allocation-free (interior mutability keeps the
     /// query surface `&self`, like [`crate::BurstMonitor`]).
@@ -495,72 +480,22 @@ impl EpochView<'_> {
         self.answered.get().1
     }
 
-    /// Refreshes every cursor to the latest coherent generation and
-    /// returns its watermark (also recorded as the answer epoch). This is
-    /// the "am I stale?" probe: after it returns, the view answers from a
-    /// publish no older than the newest one completed before the call.
+    /// Refreshes the cursor to the latest generation and returns its
+    /// watermark (also recorded as the answer epoch). This is the "am I
+    /// stale?" probe: after it returns, the view answers from a publish no
+    /// older than the newest one completed before the call.
     pub fn refresh_latest(&self) -> Watermark {
-        let readers = &mut *self.readers.borrow_mut();
-        let epoch = Self::refresh_coherent(readers, self.epochs);
-        self.answered.set((epoch.0, epoch.1));
-        epoch.1
+        self.with_latest(|epoch| {
+            self.answered.set((epoch.generation, epoch.watermark));
+            epoch.watermark
+        })
     }
 
-    /// Refreshes all cursors until they agree on one generation, returning
-    /// `(generation, watermark)`. Publishes complete in microseconds, so
-    /// the retry loop is bounded in practice; each iteration re-reads only
-    /// the cells that moved.
-    fn refresh_coherent(
-        readers: &mut [EpochReader<BurstDetector>],
-        epochs: &DetectorEpochs,
-    ) -> (u64, Watermark) {
-        loop {
-            for (reader, cell) in readers.iter_mut().zip(&epochs.cells) {
-                reader.refresh(cell);
-            }
-            let first = readers[0].current().expect("genesis epoch always published");
-            let (generation, watermark) = (first.generation, first.watermark);
-            if readers.iter().all(|r| r.current().is_some_and(|e| e.generation == generation)) {
-                return (generation, watermark);
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Routes one request to the published clones' uninstrumented
-    /// dispatch: per-event kinds to the owning shard's epoch, bursty-event
-    /// kinds through the shared [`fan_out`] over a coherent generation
-    /// vector.
-    fn dispatch(
-        &self,
-        request: &QueryRequest,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryResponse, BedError> {
-        let readers = &mut *self.readers.borrow_mut();
-        match *request {
-            QueryRequest::Point { event, .. }
-            | QueryRequest::BurstyTimes { event, .. }
-            | QueryRequest::Series { event, .. }
-            | QueryRequest::TopK { event, .. } => {
-                // The owning shard's universe check covers the full K, so
-                // routing first is safe even for out-of-range ids.
-                let i = route(event, readers.len());
-                readers[i].refresh(&self.epochs.cells[i]);
-                let epoch = readers[i].current().expect("genesis epoch always published");
-                let response = epoch.data.dispatch(request, scratch)?;
-                self.answered.set((epoch.generation, epoch.watermark));
-                Ok(response)
-            }
-            QueryRequest::BurstyEvents { t, theta, tau, strategy } => {
-                let (generation, watermark) = Self::refresh_coherent(readers, self.epochs);
-                let shards = readers.iter().map(|r| &*r.current().expect("coherent vector").data);
-                let (hits, stats) = fan_out(shards, |shard| {
-                    shard.bursty_events_with_reusing(t, theta, tau, strategy, scratch)
-                })?;
-                self.answered.set((generation, watermark));
-                Ok(QueryResponse::BurstyEvents { hits, stats })
-            }
-        }
+    /// Runs `f` on the latest published epoch, refreshing the cursor first.
+    fn with_latest<R>(&self, f: impl FnOnce(&Epoch<Vec<BurstDetector>>) -> R) -> R {
+        let reader = &mut *self.reader.borrow_mut();
+        reader.refresh(&self.epochs.cell);
+        f(reader.current().expect("genesis epoch always published"))
     }
 }
 
@@ -579,7 +514,11 @@ impl BurstQueries for EpochView<'_> {
         scratch: &mut QueryScratch,
     ) -> Result<QueryResponse, BedError> {
         crate::observe::run_query(&self.epochs.metrics.queries, request, scratch, |s| {
-            self.dispatch(request, s)
+            self.with_latest(|epoch| {
+                let response = dispatch(&epoch.data, request, s)?;
+                self.answered.set((epoch.generation, epoch.watermark));
+                Ok(response)
+            })
         })
     }
 
@@ -590,9 +529,7 @@ impl BurstQueries for EpochView<'_> {
     }
 
     fn size_bytes(&self) -> usize {
-        let readers = &mut *self.readers.borrow_mut();
-        Self::refresh_coherent(readers, self.epochs);
-        readers.iter().map(|r| r.current().map_or(0, |e| e.data.size_bytes())).sum()
+        self.with_latest(|epoch| epoch.data.iter().map(BurstDetector::size_bytes).sum())
     }
 
     fn config(&self) -> &DetectorConfig {
@@ -712,7 +649,8 @@ mod tests {
             det.ingest(EventId((t % 8) as u32), Timestamp(t)).unwrap();
             publisher.maybe_publish(&det, &epochs);
         }
-        assert_eq!(publisher.published(), 3, "arrivals 1 (first due), 51, 101");
+        // Genesis plus the gate's publishes at arrivals 1 (first due), 51, 101.
+        assert_eq!(epochs.metrics().counter("epoch.published"), Some(4));
         assert_eq!(view.refresh_latest().arrivals, 101);
         // Nothing new published → refresh is a no-op at the same epoch.
         assert_eq!(view.refresh_latest().arrivals, 101);
@@ -737,6 +675,26 @@ mod tests {
         ));
     }
 
+    #[test]
+    fn publish_frees_the_slot_it_takes_before_building() {
+        let cell = SnapshotCell::new();
+        let wm = Watermark::default();
+        cell.publish(wm, || 1u64);
+        let first = {
+            let mut reader = EpochReader::new();
+            reader.refresh(&cell);
+            Arc::downgrade(&reader.current().unwrap().data)
+        };
+        for g in 2..=EPOCH_SLOTS as u64 {
+            cell.publish(wm, || g);
+        }
+        assert!(first.upgrade().is_some(), "generation 1 is still retained");
+        cell.publish(wm, || {
+            assert!(first.upgrade().is_none(), "generation 1 outlived the build of its successor");
+            EPOCH_SLOTS as u64 + 1
+        });
+    }
+
     // ---- schedule-permuter coverage of the seqlock protocol ----------
 
     /// Drives one instrumented refresh under `schedule`, injecting
@@ -754,7 +712,7 @@ mod tests {
             for _ in 0..n {
                 *published += 1;
                 let wm = Watermark { arrivals: *published, last_ts: None };
-                assert_eq!(cell.publish(wm, Arc::new(*published)), *published);
+                assert_eq!(cell.publish(wm, || *published), *published);
             }
         };
         publish_n(schedule.next(), published);

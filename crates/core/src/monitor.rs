@@ -127,20 +127,6 @@ impl<D: BurstQueries + EventSink> BurstMonitor<D> {
     }
 }
 
-impl<D: BurstQueries + EventSink + Clone> BurstMonitor<D> {
-    /// Publishes a finalized clone of the wrapped detector into `cell`, so
-    /// dashboard readers answer "now" queries from an immutable snapshot
-    /// without ever blocking the monitor's ingest (see [`crate::epoch`]).
-    /// Returns the published generation.
-    pub fn publish_epoch(&self, cell: &crate::epoch::SnapshotCell<D>) -> u64 {
-        let mut clone = self.detector.clone();
-        clone.finalize();
-        let watermark =
-            crate::Watermark { arrivals: BurstQueries::arrivals(&clone), last_ts: self.now };
-        cell.publish(watermark, std::sync::Arc::new(clone))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,33 +194,6 @@ mod tests {
         assert_eq!(top[0].event, EventId(6), "{top:?}");
         assert_eq!(top[1].event, EventId(5));
         assert!(top[0].burstiness > top[1].burstiness);
-    }
-
-    #[test]
-    fn monitor_publishes_epochs_for_wait_free_readers() {
-        let mut mon = monitor();
-        let cell = crate::epoch::SnapshotCell::new();
-        let mut reader = crate::epoch::EpochReader::new();
-        assert_eq!(mon.publish_epoch(&cell), 1);
-        for t in 0..200u64 {
-            mon.ingest(EventId(0), Timestamp(t)).unwrap();
-            if t >= 175 {
-                for _ in 0..8 {
-                    mon.ingest(EventId(6), Timestamp(t)).unwrap();
-                }
-            }
-        }
-        assert_eq!(mon.publish_epoch(&cell), 2);
-        assert!(reader.refresh(&cell));
-        let epoch = reader.current().unwrap();
-        assert_eq!(epoch.watermark.arrivals, 400);
-        assert_eq!(epoch.watermark.last_ts, Some(Timestamp(199)));
-        // The published snapshot answers the same "now" question without
-        // touching the (still-live) monitor.
-        let tau = BurstSpan::new(25).unwrap();
-        assert!(epoch.data.point_query(EventId(6), Timestamp(199), tau) > 5.0);
-        // Publishing never finalized the live detector: ingest continues.
-        mon.ingest(EventId(0), Timestamp(200)).unwrap();
     }
 
     #[test]

@@ -50,32 +50,54 @@ fn mix(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The shard owning `event` among `n` shards. Shared with the epoch read
-/// path ([`crate::epoch`]), which must route per-event queries to the same
-/// cell the writer publishes that shard into.
+/// The shard owning `event` among `n` shards.
 #[inline]
 pub(crate) fn route(event: EventId, n: usize) -> usize {
     (mix(event.value() as u64) % n as u64) as usize
 }
 
 /// An event-set answer: hits plus the probe statistics of the search.
-pub(crate) type EventSetAnswer = Result<(Vec<BurstyEventHit>, QueryStats), BedError>;
+type EventSetAnswer = Result<(Vec<BurstyEventHit>, QueryStats), BedError>;
 
-/// The one bursty-event fan-out, shared by the live [`ShardedDetector`]
-/// and the epoch read path ([`crate::epoch`]): runs `query` on every shard
-/// in routing order, keeps each shard's hits on the events it owns (a
-/// shard's sketch can only over-count, so it may report collision ghosts
-/// for ids it never saw), sums the stats, and merges. A single shard owns
-/// every id (`route(_, 1) == 0`), so the plain layout needs no special
-/// case.
-pub(crate) fn fan_out<'a>(
-    shards: impl ExactSizeIterator<Item = &'a BurstDetector>,
+/// The one query router over a shard set, shared by the live
+/// [`ShardedDetector`] and the epoch views ([`crate::epoch`]): per-event
+/// kinds go to the owning shard's uninstrumented dispatch (whose universe
+/// check covers the full `K`), bursty-event kinds go through [`fan_out`]
+/// with the scratch shared across the sequential shard visits.
+pub(crate) fn dispatch(
+    shards: &[BurstDetector],
+    request: &QueryRequest,
+    scratch: &mut bed_sketch::QueryScratch,
+) -> Result<QueryResponse, BedError> {
+    match *request {
+        QueryRequest::Point { event, .. }
+        | QueryRequest::BurstyTimes { event, .. }
+        | QueryRequest::Series { event, .. }
+        | QueryRequest::TopK { event, .. } => {
+            shards[route(event, shards.len())].dispatch(request, scratch)
+        }
+        QueryRequest::BurstyEvents { t, theta, tau, strategy } => {
+            let (hits, stats) = fan_out(shards, |shard| {
+                shard.bursty_events_with_reusing(t, theta, tau, strategy, scratch)
+            })?;
+            Ok(QueryResponse::BurstyEvents { hits, stats })
+        }
+    }
+}
+
+/// The one bursty-event fan-out: runs `query` on every shard in routing
+/// order, keeps each shard's hits on the events it owns (a shard's sketch
+/// can only over-count, so it may report collision ghosts for ids it never
+/// saw), sums the stats, and merges. A single shard owns every id
+/// (`route(_, 1) == 0`), so the plain layout needs no special case.
+fn fan_out(
+    shards: &[BurstDetector],
     mut query: impl FnMut(&BurstDetector) -> EventSetAnswer,
 ) -> EventSetAnswer {
     let n = shards.len();
     let mut merged: Vec<BurstyEventHit> = Vec::new();
     let mut stats = QueryStats::default();
-    for (i, shard) in shards.enumerate() {
+    for (i, shard) in shards.iter().enumerate() {
         let (hits, s) = query(shard)?;
         stats.point_queries += s.point_queries;
         stats.pruned_subtrees += s.pruned_subtrees;
@@ -364,23 +386,7 @@ impl ShardedDetector {
         tau: BurstSpan,
         strategy: QueryStrategy,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        fan_out(self.shards.iter(), |shard| shard.bursty_events_with(t, theta, tau, strategy))
-    }
-
-    /// [`Self::bursty_events_with`] with caller-provided scratch: the
-    /// fan-out visits shards sequentially, so one scratch serves every
-    /// shard's batched scan kernel in turn (identical results).
-    pub fn bursty_events_with_reusing(
-        &self,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-        strategy: QueryStrategy,
-        scratch: &mut bed_sketch::QueryScratch,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        fan_out(self.shards.iter(), |shard| {
-            shard.bursty_events_with_reusing(t, theta, tau, strategy, scratch)
-        })
+        fan_out(&self.shards, |shard| shard.bursty_events_with(t, theta, tau, strategy))
     }
 
     /// BURSTY EVENT QUERY restricted to event ids `[lo, hi)`, merged
@@ -394,7 +400,7 @@ impl ShardedDetector {
         tau: BurstSpan,
         strategy: QueryStrategy,
     ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        fan_out(self.shards.iter(), |shard| {
+        fan_out(&self.shards, |shard| {
             shard.bursty_events_in_range_with(lo, hi, t, theta, tau, strategy)
         })
     }
@@ -443,30 +449,6 @@ impl ShardedDetector {
         }
         merged
     }
-
-    /// Routes one [`QueryRequest`]: per-event kinds go to the owning
-    /// shard's uninstrumented dispatch (whose universe check covers the
-    /// full `K`), bursty-event kinds fan out and merge with the scratch
-    /// shared across the sequential shard visits.
-    fn dispatch(
-        &self,
-        request: &QueryRequest,
-        scratch: &mut bed_sketch::QueryScratch,
-    ) -> Result<QueryResponse, BedError> {
-        match *request {
-            QueryRequest::Point { event, .. }
-            | QueryRequest::BurstyTimes { event, .. }
-            | QueryRequest::Series { event, .. }
-            | QueryRequest::TopK { event, .. } => {
-                self.shards[self.owner(event)].dispatch(request, scratch)
-            }
-            QueryRequest::BurstyEvents { t, theta, tau, strategy } => {
-                let (hits, stats) =
-                    self.bursty_events_with_reusing(t, theta, tau, strategy, scratch)?;
-                Ok(QueryResponse::BurstyEvents { hits, stats })
-            }
-        }
-    }
 }
 
 impl BurstQueries for ShardedDetector {
@@ -484,7 +466,7 @@ impl BurstQueries for ShardedDetector {
         scratch: &mut bed_sketch::QueryScratch,
     ) -> Result<QueryResponse, BedError> {
         crate::observe::run_query(&self.metrics.queries, request, scratch, |scratch| {
-            self.dispatch(request, scratch)
+            dispatch(&self.shards, request, scratch)
         })
     }
 

@@ -28,7 +28,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use bed_core::{
     recover, AnyDetector, BurstDetector, BurstQueries, DetectorEpochs, EpochReader, PbeVariant,
@@ -340,7 +340,7 @@ proptest! {
             if let AnyDetector::Plain(d) = &det {
                 let mut clone = (**d).clone();
                 clone.finalize();
-                cell.publish(watermark, Arc::new(clone));
+                cell.publish(watermark, || clone);
             }
 
             let store = SnapshotStore::new(dir.join(format!("gen{generation}.beds")));
