@@ -214,19 +214,7 @@ fn build(input: &str, out: &str, flags: &DetectorFlags) -> Result<String, CliErr
     let els = read_elements(input)?;
     let count = els.len();
     let mut det = detector_from_flags(flags)?;
-    match &mut det {
-        AnyDetector::Sharded(d) => d.ingest_batch(&els)?,
-        AnyDetector::Plain(d) => {
-            let single = d.config().universe.is_none();
-            for &(event, ts) in &els {
-                if single {
-                    d.ingest_single(ts)?;
-                } else {
-                    d.ingest(event, ts)?;
-                }
-            }
-        }
-    }
+    det.ingest_batch(&els)?;
     det.finalize();
     let bytes = det.to_bytes();
     let summary_bytes = det.size_bytes();
@@ -294,20 +282,10 @@ fn restore(
     let mut det = outcome.detector;
     if let Some(onto_path) = onto {
         let target = load(onto_path)?;
-        let mut diff = target.config().diff(det.config()).unwrap_or_default();
-        if target.layout_shards() != det.layout_shards() {
-            if !diff.is_empty() {
-                diff.push_str("; ");
-            }
-            diff.push_str(&format!(
-                "shards: {} vs {} (0 = unsharded)",
-                target.layout_shards(),
-                det.layout_shards()
-            ));
-        }
-        if !diff.is_empty() {
-            return Err(CliError::Recovery(bed_core::RecoveryError::ConfigMismatch { diff }));
-        }
+        bed_core::check_same_layout(
+            (target.config(), target.layout_shards()),
+            (det.config(), det.layout_shards()),
+        )?;
     }
     det.finalize();
     fs::write(out, det.to_bytes())?;

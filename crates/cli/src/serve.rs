@@ -11,7 +11,7 @@
 //!   queries never wait on ingest; every answer is stamped with
 //!   the epoch it came from (`generation`, `arrivals`, `last_ts`).
 //! - `GET /metrics` — the detector's metrics merged with the tracer's,
-//!   the epoch publisher's (staleness gauges refreshed at scrape time),
+//!   the epoch publisher's (staleness gauges computed at scrape time),
 //!   the self-profiler's and the server's own, rendered as OpenMetrics
 //!   text exposition with trace-id exemplars on the latency histograms.
 //!   The detector's families (`bed_ingest_count_total`, the structure
@@ -87,11 +87,11 @@ use std::time::{Duration, Instant};
 
 use bed_core::{
     AnyDetector, BurstQueries as _, BurstSpan, CheckpointPolicy, DetectorEpochs, EpochPublisher,
-    EpochReader, EventId, MetricsRegistry, MetricsSnapshot, Profiler, QueryRequest, QueryResponse,
+    EpochReader, EventId, MetricValue, MetricsSnapshot, Profiler, QueryRequest, QueryResponse,
     QueryScratch, QueryStrategy, SnapshotCell, TimeRange, Timestamp, TraceId, Traceable as _,
     Tracer, TracerConfig, Watermark,
 };
-use bed_obs::{Counter, Gauge};
+use bed_obs::Counter;
 
 use crate::args::DetectorFlags;
 use crate::commands::{detector_from_flags, read_elements};
@@ -208,7 +208,7 @@ impl ServeCtx {
             live: LiveWatermark::default(),
             tracer,
             profiler: Profiler::with_default_stages(),
-            server: ServerMetrics::new(),
+            server: ServerMetrics::default(),
             state_dir: opts.state_dir.clone(),
             ingest_failure: OnceLock::new(),
         };
@@ -293,38 +293,25 @@ impl LiveWatermark {
 }
 
 /// The serve tier's own `server.*` families.
+#[derive(Default)]
 struct ServerMetrics {
-    registry: MetricsRegistry,
-    accepted: Arc<Counter>,
-    shed: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    workers_busy: Arc<Gauge>,
-    /// Connections waiting in the queue; copied into `queue_depth` at
-    /// scrape time.
+    accepted: Counter,
+    shed: Counter,
+    /// Connections waiting in the queue (`server.queue_depth`).
     queued: AtomicU64,
-    /// Workers answering a connection; copied into `workers_busy` at
-    /// scrape time.
+    /// Workers answering a connection (`server.workers_busy`).
     busy: AtomicU64,
 }
 
 impl ServerMetrics {
-    fn new() -> ServerMetrics {
-        let registry = MetricsRegistry::new();
-        ServerMetrics {
-            accepted: registry.counter("server.accepted"),
-            shed: registry.counter("server.shed"),
-            queue_depth: registry.gauge("server.queue_depth"),
-            workers_busy: registry.gauge("server.workers_busy"),
-            registry,
-            queued: AtomicU64::new(0),
-            busy: AtomicU64::new(0),
-        }
-    }
-
     fn snapshot(&self) -> MetricsSnapshot {
-        self.queue_depth.set(self.queued.load(Ordering::Relaxed) as f64);
-        self.workers_busy.set(self.busy.load(Ordering::Relaxed) as f64);
-        self.registry.snapshot()
+        let level = |n: &AtomicU64| MetricValue::Gauge(n.load(Ordering::Relaxed) as f64);
+        MetricsSnapshot::from_entries([
+            ("server.accepted".to_owned(), MetricValue::Counter(self.accepted.get())),
+            ("server.shed".to_owned(), MetricValue::Counter(self.shed.get())),
+            ("server.queue_depth".to_owned(), level(&self.queued)),
+            ("server.workers_busy".to_owned(), level(&self.busy)),
+        ])
     }
 }
 
@@ -610,11 +597,11 @@ fn respond(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, String
     match (req.method.as_str(), req.path.as_str()) {
         ("GET" | "POST", "/query") => query_route(req, ctx),
         ("GET", "/metrics") => {
-            // Refresh the staleness gauges from the live watermark before
-            // merging, so scrapes see the current epoch age / arrival lag.
-            ctx.epochs.record_staleness(ctx.live.load());
+            // Staleness is read against the live watermark at scrape time,
+            // so scrapes see the current epoch age / arrival lag.
             let merged = ctx
                 .stage_metrics()
+                .merge(&ctx.epochs.staleness(ctx.live.load()))
                 .merge(&ctx.tracer.metrics_snapshot())
                 .merge(&ctx.profiler.metrics_snapshot())
                 .merge(&ctx.server.snapshot());

@@ -49,6 +49,7 @@ use crate::detector::BurstDetector;
 use crate::error::BedError;
 use crate::metrics::CheckpointMetrics;
 use crate::observe::Traceable;
+use crate::pipeline::EventSink;
 use crate::query::BurstQueries;
 use crate::shard::ShardedDetector;
 use crate::wal::{read_wal, WalContents};
@@ -132,8 +133,7 @@ impl AnyDetector {
     /// (single-event detectors ignore `event`, which the WAL stores as 0).
     pub fn ingest(&mut self, event: EventId, ts: Timestamp) -> Result<(), BedError> {
         match self {
-            AnyDetector::Plain(d) if d.config().universe.is_none() => d.ingest_single(ts),
-            AnyDetector::Plain(d) => d.ingest(event, ts),
+            AnyDetector::Plain(d) => EventSink::ingest(d.as_mut(), event, ts),
             AnyDetector::Sharded(d) => d.ingest(event, ts),
         }
     }
@@ -173,20 +173,15 @@ impl AnyDetector {
 
 /// An [`AnyDetector`] feeds anywhere a detector does — pipelines,
 /// [`crate::wal::WalSink`] — with ingest routed per its layout and mode.
-impl crate::pipeline::EventSink for AnyDetector {
+impl EventSink for AnyDetector {
     fn ingest(&mut self, event: EventId, ts: Timestamp) -> Result<(), BedError> {
         AnyDetector::ingest(self, event, ts)
     }
 
     fn ingest_batch(&mut self, batch: &[(EventId, Timestamp)]) -> Result<(), BedError> {
         match self {
+            AnyDetector::Plain(d) => d.ingest_batch(batch),
             AnyDetector::Sharded(d) => d.ingest_batch(batch),
-            AnyDetector::Plain(_) => {
-                for &(event, ts) in batch {
-                    AnyDetector::ingest(self, event, ts)?;
-                }
-                Ok(())
-            }
         }
     }
 
@@ -649,7 +644,7 @@ impl Checkpointer {
             policy,
             last_arrivals: None,
             checkpoints: 0,
-            metrics: CheckpointMetrics::new(),
+            metrics: CheckpointMetrics::default(),
             tracer: std::sync::Arc::new(bed_obs::Tracer::disabled()),
         }
     }
@@ -782,7 +777,8 @@ pub fn recover(
         (snapshot, Some(wal)) => {
             let (mut detector, watermark, fell_back) = match snapshot {
                 Some((snap, fell_back)) => {
-                    check_wal_matches(&wal, snap.detector.config(), snap.detector.layout_shards())?;
+                    let snap_layout = (snap.detector.config(), snap.detector.layout_shards());
+                    check_same_layout(snap_layout, (&wal.config, wal.shards))?;
                     (snap.detector, snap.watermark, fell_back)
                 }
                 None => (build_empty(&wal)?, Watermark::default(), false),
@@ -800,20 +796,21 @@ pub fn recover(
     }
 }
 
-/// Verifies the WAL header describes the same detector as `config` +
-/// `shards`; a mismatch means the files belong to different builds and a
-/// replay would mix states.
-pub(crate) fn check_wal_matches(
-    wal: &WalContents,
-    config: &DetectorConfig,
-    shards: u32,
+/// Verifies two `(config, shards)` layouts (`shards` 0 = unsharded)
+/// describe the same detector, naming every differing field in order
+/// `ours vs theirs`. A mismatch means the artifacts belong to different
+/// builds — a snapshot and a foreign WAL, or a restore onto another
+/// sketch — and combining them would mix states.
+pub fn check_same_layout(
+    (config, shards): (&DetectorConfig, u32),
+    (theirs, their_shards): (&DetectorConfig, u32),
 ) -> Result<(), RecoveryError> {
-    let mut diff = config.diff(&wal.config).unwrap_or_default();
-    if shards != wal.shards {
+    let mut diff = config.diff(theirs).unwrap_or_default();
+    if shards != their_shards {
         if !diff.is_empty() {
             diff.push_str("; ");
         }
-        diff.push_str(&format!("shards: {} vs {} (0 = unsharded)", shards, wal.shards));
+        diff.push_str(&format!("shards: {shards} vs {their_shards} (0 = unsharded)"));
     }
     if diff.is_empty() {
         Ok(())

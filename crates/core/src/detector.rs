@@ -10,8 +10,9 @@ use bed_stream::{BurstSpan, EventId, StreamError, Timestamp};
 use crate::cell::PbeCell;
 use crate::config::{DetectorConfig, PbeVariant};
 use crate::error::BedError;
-use crate::metrics::DetectorMetrics;
+use crate::metrics::{gauge, DetectorMetrics, Entry};
 use crate::observe::Traceable;
+use crate::pipeline::check_batch;
 use crate::query::{
     check_range, check_step, check_theta_finite, check_theta_positive, sort_hits, BurstQueries,
     QueryRequest, QueryResponse, QueryStrategy,
@@ -97,25 +98,13 @@ impl BurstDetector {
                 config.variant.make_cell()
             })?),
         };
-        let metrics = DetectorMetrics::new();
+        let metrics = DetectorMetrics::default();
         Ok(BurstDetector { config, backend, last_ts: None, metrics, compactions: 0 })
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &DetectorConfig {
         &self.config
-    }
-
-    fn check_monotone(&mut self, ts: Timestamp) -> Result<(), BedError> {
-        if let Some(last) = self.last_ts {
-            if ts < last {
-                return Err(
-                    StreamError::NonMonotonicTimestamp { previous: last, offered: ts }.into()
-                );
-            }
-        }
-        self.last_ts = Some(ts);
-        Ok(())
     }
 
     /// Records one arrival of `event` at `ts` (mixed-stream modes).
@@ -126,33 +115,23 @@ impl BurstDetector {
         result
     }
 
+    /// Admits an arrival (a refused one leaves the clock where it was),
+    /// then updates the backend.
     fn ingest_inner(&mut self, event: EventId, ts: Timestamp) -> Result<(), BedError> {
-        self.check_monotone(ts)?;
-        match &mut self.backend {
-            Backend::Single(_) => Err(BedError::WrongMode {
+        if let Backend::Single(_) = self.backend {
+            return Err(BedError::WrongMode {
                 operation: "ingest(event, ts)",
                 built_for: "a single event stream (use ingest_single)",
-            }),
-            Backend::Flat(grid) => {
-                if let Some(k) = self.config.universe {
-                    if event.value() >= k {
-                        return Err(StreamError::EventOutOfUniverse {
-                            event: event.value(),
-                            universe: k,
-                        }
-                        .into());
-                    }
-                }
-                grid.update(event, ts);
-                self.maybe_compact();
-                Ok(())
-            }
-            Backend::Hierarchical(forest) => {
-                forest.update(event, ts)?;
-                self.maybe_compact();
-                Ok(())
-            }
+            });
         }
+        self.last_ts = check_batch(self.config.universe, self.last_ts, &[(event, ts)])?;
+        match &mut self.backend {
+            Backend::Flat(grid) => grid.update(event, ts),
+            Backend::Hierarchical(forest) => forest.update(event, ts)?,
+            Backend::Single(_) => unreachable!("refused above"),
+        }
+        self.maybe_compact();
+        Ok(())
     }
 
     /// Retention trigger: folds live cell state into the frozen tiers once
@@ -193,18 +172,16 @@ impl BurstDetector {
     }
 
     fn ingest_single_inner(&mut self, ts: Timestamp) -> Result<(), BedError> {
-        self.check_monotone(ts)?;
-        match &mut self.backend {
-            Backend::Single(pbe) => {
-                pbe.update(ts);
-                self.maybe_compact();
-                Ok(())
-            }
-            _ => Err(BedError::WrongMode {
+        let Backend::Single(pbe) = &mut self.backend else {
+            return Err(BedError::WrongMode {
                 operation: "ingest_single(ts)",
                 built_for: "mixed event streams (use ingest)",
-            }),
-        }
+            });
+        };
+        self.last_ts = check_batch(None, self.last_ts, &[(EventId(0), ts)])?;
+        pbe.update(ts);
+        self.maybe_compact();
+        Ok(())
     }
 
     /// Flushes internal buffering; queries are valid before and after, but
@@ -557,7 +534,7 @@ impl BurstDetector {
     /// Resident bytes of the struct-of-arrays probe banks, `0` when none
     /// are built. [`finalize`](Self::finalize) builds them; any ingest
     /// drops them, so a non-zero value means queries ride the vectorized
-    /// [`bed_sketch::CellBank`] kernels instead of the per-cell path.
+    /// [`bed_pbe::soa::PieceBank`] kernels instead of the per-cell path.
     /// Deliberately *not* part of [`size_bytes`](Self::size_bytes), which
     /// keeps the paper's summary-only accounting.
     pub fn soa_bank_bytes(&self) -> usize {
@@ -571,31 +548,35 @@ impl BurstDetector {
     }
 
     /// Captures a [`MetricsSnapshot`] of runtime counters and latency
-    /// histograms, refreshing the structural gauges (summary sizes, sketch
-    /// fill, forest occupancy) from the backend first. See the crate docs
-    /// for the metric name schema.
+    /// histograms next to the structural gauges (summary sizes, sketch
+    /// fill, forest occupancy) read off the backend now. See the crate
+    /// docs for the metric name schema.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.set_gauge("detector.arrivals", self.arrivals() as f64);
-        self.metrics.set_gauge("structure.bytes", self.size_bytes() as f64);
+        let mut readings = vec![
+            gauge("detector.arrivals", self.arrivals() as f64),
+            gauge("structure.bytes", self.size_bytes() as f64),
+        ];
         match &self.backend {
             Backend::Single(pbe) => {
                 let s = pbe.summary_stats();
-                self.metrics.set_gauge("structure.pbe.pieces", s.pieces as f64);
-                self.metrics.set_gauge("structure.pbe.buffered", s.buffered as f64);
+                readings.push(gauge("structure.pbe.pieces", s.pieces as f64));
+                readings.push(gauge("structure.pbe.buffered", s.buffered as f64));
             }
-            Backend::Flat(grid) => self.set_cm_gauges(&grid.structure()),
+            Backend::Flat(grid) => cm_gauges(&grid.structure(), &mut readings),
             Backend::Hierarchical(forest) => {
                 let s = forest.structure();
-                self.metrics.set_gauge("structure.forest.levels", f64::from(s.levels));
-                self.metrics.set_gauge("structure.forest.nodes", s.nodes as f64);
-                self.metrics.set_gauge("structure.forest.occupied_nodes", s.occupied_nodes as f64);
-                self.metrics.set_gauge("structure.forest.pieces", s.pieces as f64);
-                self.metrics.set_gauge("structure.forest.buffered", s.buffered as f64);
-                self.set_cm_gauges(&s.leaf);
+                readings.extend([
+                    gauge("structure.forest.levels", f64::from(s.levels)),
+                    gauge("structure.forest.nodes", s.nodes as f64),
+                    gauge("structure.forest.occupied_nodes", s.occupied_nodes as f64),
+                    gauge("structure.forest.pieces", s.pieces as f64),
+                    gauge("structure.forest.buffered", s.buffered as f64),
+                ]);
+                cm_gauges(&s.leaf, &mut readings);
             }
         }
-        self.refresh_retention_gauges();
-        self.metrics.snapshot()
+        self.retention_gauges(&mut readings);
+        self.metrics.snapshot(readings)
     }
 
     /// Visits the frozen prefix of every compacted cell across the backend
@@ -617,11 +598,11 @@ impl BurstDetector {
         }
     }
 
-    /// Refreshes the `retention.*` gauges: compaction count, tiers in
-    /// play, and per-tier byte/knee/span accounting (tier 0 carries the
+    /// Lists the `retention.*` gauges into `out`: compaction count, tiers
+    /// in play, and per-tier byte/knee/span accounting (tier 0 carries the
     /// live full-resolution summaries; tiers ≥ 1 the frozen knees that
     /// currently age into them).
-    fn refresh_retention_gauges(&self) {
+    fn retention_gauges(&self, out: &mut Vec<Entry>) {
         let Some(policy) = self.config.retention else { return };
         let now = self.last_ts.map_or(0, Timestamp::ticks);
         let mut tier_bytes: Vec<u64> = vec![0];
@@ -641,34 +622,23 @@ impl BurstDetector {
         });
         // Everything not frozen is the live tier-0 working set.
         tier_bytes[0] += (self.size_bytes() as u64).saturating_sub(frozen_bytes);
-        self.metrics.set_gauge("retention.compactions", self.compactions as f64);
-        self.metrics.set_gauge("retention.tiers", tier_bytes.len() as f64);
-        self.metrics.set_gauge("retention.window_ticks", policy.window as f64);
+        out.extend([
+            gauge("retention.compactions", self.compactions as f64),
+            gauge("retention.tiers", tier_bytes.len() as f64),
+            gauge("retention.window_ticks", policy.window as f64),
+        ]);
         for (k, (bytes, knees)) in tier_bytes.iter().zip(&tier_knees).enumerate() {
             let span = if k == 0 {
                 policy.window
             } else {
                 policy.window.saturating_mul(1u64.checked_shl(k as u32 - 1).unwrap_or(u64::MAX))
             };
-            self.metrics.set_gauge(&format!("retention.tier{k}.bytes"), *bytes as f64);
-            self.metrics.set_gauge(&format!("retention.tier{k}.knees"), *knees as f64);
-            self.metrics.set_gauge(&format!("retention.tier{k}.span_ticks"), span as f64);
+            out.extend([
+                gauge(format!("retention.tier{k}.bytes"), *bytes as f64),
+                gauge(format!("retention.tier{k}.knees"), *knees as f64),
+                gauge(format!("retention.tier{k}.span_ticks"), span as f64),
+            ]);
         }
-    }
-
-    /// Refreshes the leaf-grid gauges (`structure.cmpbe.*`).
-    fn set_cm_gauges(&self, s: &bed_sketch::CmStructure) {
-        self.metrics.set_gauge("structure.cmpbe.depth", s.depth as f64);
-        self.metrics.set_gauge("structure.cmpbe.width", s.width as f64);
-        self.metrics.set_gauge("structure.cmpbe.occupied_cells", s.occupied_cells as f64);
-        if s.cells > 0 {
-            let fill = s.occupied_cells as f64 / s.cells as f64;
-            self.metrics.set_gauge("structure.cmpbe.fill_ratio", fill);
-        }
-        self.metrics
-            .set_gauge("structure.cmpbe.heaviest_cell_arrivals", s.heaviest_cell_arrivals as f64);
-        self.metrics.set_gauge("structure.cmpbe.pieces", s.pieces as f64);
-        self.metrics.set_gauge("structure.cmpbe.buffered", s.buffered as f64);
     }
 
     /// Validates an event id against the universe. Single-event detectors
@@ -733,6 +703,21 @@ impl BurstDetector {
                 Ok(QueryResponse::TopK(self.top_bursts_reusing(event, k, tau, horizon, scratch)))
             }
         }
+    }
+}
+
+/// Lists the leaf-grid gauges (`structure.cmpbe.*`) into `out`.
+fn cm_gauges(s: &bed_sketch::CmStructure, out: &mut Vec<Entry>) {
+    out.extend([
+        gauge("structure.cmpbe.depth", s.depth as f64),
+        gauge("structure.cmpbe.width", s.width as f64),
+        gauge("structure.cmpbe.occupied_cells", s.occupied_cells as f64),
+        gauge("structure.cmpbe.heaviest_cell_arrivals", s.heaviest_cell_arrivals as f64),
+        gauge("structure.cmpbe.pieces", s.pieces as f64),
+        gauge("structure.cmpbe.buffered", s.buffered as f64),
+    ]);
+    if s.cells > 0 {
+        out.push(gauge("structure.cmpbe.fill_ratio", s.occupied_cells as f64 / s.cells as f64));
     }
 }
 
@@ -936,7 +921,7 @@ impl bed_stream::Codec for BurstDetector {
         }
         // Metrics are runtime-only and not part of the BEDD format: a
         // decoded detector starts fresh, like a clone.
-        let metrics = DetectorMetrics::new();
+        let metrics = DetectorMetrics::default();
         let det = BurstDetector { config, backend, last_ts, metrics, compactions };
         det.metrics.seed_ingests(det.arrivals());
         Ok(det)

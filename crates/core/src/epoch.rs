@@ -63,7 +63,7 @@ use crate::checkpoint::{AnyDetector, CheckpointPolicy, Watermark};
 use crate::config::DetectorConfig;
 use crate::detector::BurstDetector;
 use crate::error::BedError;
-use crate::metrics::EpochMetrics;
+use crate::metrics::{gauge, EpochMetrics};
 use crate::query::{BurstQueries, QueryRequest, QueryResponse};
 use crate::shard::dispatch;
 
@@ -295,7 +295,7 @@ impl DetectorEpochs {
         DetectorEpochs {
             config: *det.config(),
             cell: SnapshotCell::new(),
-            metrics: EpochMetrics::new(),
+            metrics: EpochMetrics::default(),
         }
     }
 
@@ -355,24 +355,26 @@ impl DetectorEpochs {
         self.latest().map(|e| e.watermark)
     }
 
-    /// Refreshes the ingest-side staleness gauges from the live detector's
+    /// The ingest-side staleness gauges against the live detector's
     /// watermark: `epoch.age_ticks` (ticks the live stream has advanced
     /// past the published epoch) and `epoch.lag_arrivals` (arrivals not
-    /// yet visible to readers). Cold path — call at scrape time.
-    pub fn record_staleness(&self, live: Watermark) {
+    /// yet visible to readers). Cold path — merge it into a scrape next to
+    /// [`Self::metrics`]. Before genesis only the lag is defined.
+    pub fn staleness(&self, live: Watermark) -> MetricsSnapshot {
         let Some(published) = self.published_watermark() else {
-            self.metrics.set_gauge("epoch.lag_arrivals", live.arrivals as f64);
-            return;
+            return MetricsSnapshot::from_entries([gauge(
+                "epoch.lag_arrivals",
+                live.arrivals as f64,
+            )]);
         };
         let age_ticks = match (live.last_ts, published.last_ts) {
             (Some(l), Some(p)) => l.ticks().saturating_sub(p.ticks()),
             _ => 0,
         };
-        self.metrics.set_gauge("epoch.age_ticks", age_ticks as f64);
-        self.metrics.set_gauge(
-            "epoch.lag_arrivals",
-            live.arrivals.saturating_sub(published.arrivals) as f64,
-        );
+        MetricsSnapshot::from_entries([
+            gauge("epoch.age_ticks", age_ticks as f64),
+            gauge("epoch.lag_arrivals", live.arrivals.saturating_sub(published.arrivals) as f64),
+        ])
     }
 
     /// Total resident bytes of the published epochs' struct-of-arrays
@@ -407,9 +409,7 @@ impl DetectorEpochs {
     /// `epoch.generation` gauge — plus the `query.*` counts and latencies
     /// of every query the views answered.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.sync_reader_retries(self.cell.reader_retries());
-        self.metrics.set_gauge("epoch.generation", self.generation() as f64);
-        self.metrics.snapshot()
+        self.metrics.snapshot(self.cell.reader_retries(), self.generation())
     }
 }
 
@@ -673,6 +673,29 @@ mod tests {
             snap.get("epoch.publish.latency_ns"),
             Some(bed_obs::MetricValue::Histogram(_))
         ));
+    }
+
+    #[test]
+    fn staleness_reads_the_live_watermark_against_the_published_epoch() {
+        let mut det = plain();
+        let epochs = DetectorEpochs::new_unpublished(&det);
+        for t in 0..10u64 {
+            det.ingest(EventId(1), Timestamp(t * 5)).unwrap();
+        }
+        // Before genesis only the lag is defined: no arrival is visible.
+        let snap = epochs.staleness(det.watermark());
+        assert_eq!(snap.gauge("epoch.lag_arrivals"), Some(10.0));
+        assert_eq!(snap.gauge("epoch.age_ticks"), None);
+
+        epochs.publish(&det);
+        for t in 10..13u64 {
+            det.ingest(EventId(1), Timestamp(t * 5)).unwrap();
+        }
+        let snap = epochs.staleness(det.watermark());
+        assert_eq!(snap.gauge("epoch.lag_arrivals"), Some(3.0));
+        assert_eq!(snap.gauge("epoch.age_ticks"), Some(60.0 - 45.0));
+        // The staleness gauges belong to the scrape, not to `metrics()`.
+        assert_eq!(epochs.metrics().gauge("epoch.lag_arrivals"), None);
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //!   read off bursty-event answers, and the derived `query.stats.prune_ratio`
 //!   gauge
 //! * `retention.tier<k>.queries`: point answers served by retention tier `k`
-//! * `structure.*` gauges refreshed at snapshot time: `structure.bytes`,
+//! * `structure.*` gauges computed at snapshot time: `structure.bytes`,
 //!   `detector.arrivals`, `structure.pbe.{pieces,buffered}` (single mode),
 //!   `structure.cmpbe.{depth,width,occupied_cells,fill_ratio,`
 //!   `heaviest_cell_arrivals,pieces,buffered}` (mixed modes), and
@@ -73,7 +73,8 @@
 //!   [`MessagePipeline`]
 //! * `epoch.published` / `epoch.reader_retries` counters,
 //!   `epoch.publish.latency_ns`, and the `epoch.generation` gauge on a
-//!   [`DetectorEpochs`]
+//!   [`DetectorEpochs`], whose `staleness` adds the `epoch.age_ticks` and
+//!   `epoch.lag_arrivals` gauges against a live watermark
 //! * `checkpoint.{count,errors,bytes,latency_ns}` and
 //!   `recovery.{count,fallbacks,replayed,torn_tails,latency_ns}` on a
 //!   [`Checkpointer`]; `wal.{appends,bytes}` and `wal.sync.latency_ns` on a
@@ -114,8 +115,8 @@ pub mod wal;
 
 pub use cell::PbeCell;
 pub use checkpoint::{
-    recover, AnyDetector, CheckpointPolicy, Checkpointable, Checkpointer, RecoveryError,
-    RecoveryOutcome, Snapshot, SnapshotStore, Watermark,
+    check_same_layout, recover, AnyDetector, CheckpointPolicy, Checkpointable, Checkpointer,
+    RecoveryError, RecoveryOutcome, Snapshot, SnapshotStore, Watermark,
 };
 pub use config::{DetectorConfig, PbeVariant};
 pub use detector::{BurstDetector, BurstDetectorBuilder};
@@ -131,8 +132,8 @@ pub use wal::{read_wal, WalContents, WalSink, WalWriter};
 // Re-export the vocabulary types users need alongside the detector.
 pub use bed_hierarchy::{BurstyEventHit, QueryStats};
 pub use bed_obs::{
-    assemble_trace_tree, default_stage_specs, MetricValue, MetricsRegistry, MetricsSnapshot,
-    Profiler, SlowQuery, SpanName, StageSpec, TraceEvent, TraceId, Tracer, TracerConfig,
+    assemble_trace_tree, default_stage_specs, MetricValue, MetricsSnapshot, Profiler, SlowQuery,
+    SpanName, StageSpec, TraceEvent, TraceId, Tracer, TracerConfig,
 };
 pub use bed_sketch::{QueryScratch, RetentionPolicy, SketchParams};
 pub use bed_stream::{BurstSpan, Burstiness, EventId, TimeRange, Timestamp};

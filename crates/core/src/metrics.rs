@@ -1,21 +1,26 @@
 //! Metric plumbing between the detectors and `bed-obs`.
 //!
 //! Each detector owns a [`DetectorMetrics`] (and a sharded facade
-//! additionally a [`ShardMetrics`]) holding pre-registered handles so the
-//! hot paths never touch the registry lock. Ingest latency is **sampled**
-//! 1-in-[`INGEST_SAMPLE_EVERY`] — two `Instant::now()` calls per sketch
-//! update would dominate the update itself — while query latency is timed
-//! on every call (queries are orders of magnitude rarer).
+//! additionally a [`ShardMetrics`]) holding its counters and histograms by
+//! value, so every hot-path update is one relaxed atomic. Ingest latency is
+//! **sampled** 1-in-[`INGEST_SAMPLE_EVERY`] — two `Instant::now()` calls
+//! per sketch update would dominate the update itself — while query
+//! latency is timed on every call (queries are orders of magnitude rarer).
+//!
+//! Each owner's `snapshot` lists its families by their static names next
+//! to the values it reads, together with the readings its component
+//! computes at snapshot time (structure sizes, retention tiers, per-shard
+//! totals) — one snapshot site per family, and no lock anywhere.
 //!
 //! Every metric has one owner and is always on. A cloned detector gets
 //! fresh metrics: it keeps only `ingest.count` and the shared tracer, so a
 //! published epoch clone never copies, and never writes, its source's
-//! registry.
+//! counters.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use bed_obs::{ActiveTrace, Counter, Histogram, MetricsRegistry, MetricsSnapshot, TraceId, Tracer};
+use bed_obs::{ActiveTrace, Counter, Histogram, MetricValue, MetricsSnapshot, TraceId, Tracer};
 
 use crate::error::BedError;
 use crate::observe::span_for;
@@ -28,32 +33,36 @@ pub(crate) const INGEST_SAMPLE_EVERY: u64 = 64;
 /// is at most `ilog2(u64::MAX) + 1 = 64`.
 const TIERS: usize = 65;
 
+/// One `(name, value)` family of a snapshot.
+pub(crate) type Entry = (String, MetricValue);
+
+/// A counter family reading `c`.
+fn counter(name: impl Into<String>, c: &Counter) -> Entry {
+    (name.into(), MetricValue::Counter(c.get()))
+}
+
+/// A histogram family reading `h`.
+fn histogram(name: impl Into<String>, h: &Histogram) -> Entry {
+    (name.into(), MetricValue::Histogram(h.snapshot()))
+}
+
+/// A gauge family: a reading computed at snapshot time.
+pub(crate) fn gauge(name: impl Into<String>, value: f64) -> Entry {
+    (name.into(), MetricValue::Gauge(value))
+}
+
 /// Runtime metrics of one [`crate::BurstDetector`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct DetectorMetrics {
-    registry: MetricsRegistry,
-    ingest_count: Arc<Counter>,
-    ingest_errors: Arc<Counter>,
-    ingest_latency: Arc<Histogram>,
-    finalize_latency: Arc<Histogram>,
+    ingest_count: Counter,
+    ingest_errors: Counter,
+    ingest_latency: Histogram,
+    finalize_latency: Histogram,
     pub(crate) queries: QueryInstruments,
-    compact_latency: Arc<Histogram>,
+    compact_latency: Histogram,
 }
 
 impl DetectorMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        DetectorMetrics {
-            ingest_count: registry.counter("ingest.count"),
-            ingest_errors: registry.counter("ingest.errors"),
-            ingest_latency: registry.histogram("ingest.latency_ns"),
-            finalize_latency: registry.histogram("finalize.latency_ns"),
-            queries: QueryInstruments::new(&registry),
-            compact_latency: registry.histogram("retention.compact.latency_ns"),
-            registry,
-        }
-    }
-
     /// Counts one ingest attempt; returns a start instant on the sampled
     /// ones. The unconditional cost is a single relaxed `fetch_add`.
     #[inline]
@@ -89,14 +98,19 @@ impl DetectorMetrics {
         self.ingest_count.set(arrivals);
     }
 
-    /// Refreshes a structural gauge (cold path; registers on first use).
-    pub(crate) fn set_gauge(&self, name: &str, value: f64) {
-        self.registry.gauge(name).set(value);
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.queries.sync(&self.registry);
-        self.registry.snapshot()
+    /// The detector's families plus `computed`, the structural readings
+    /// the detector takes from its backend at snapshot time.
+    pub(crate) fn snapshot(&self, computed: impl IntoIterator<Item = Entry>) -> MetricsSnapshot {
+        let mut entries = vec![
+            counter("ingest.count", &self.ingest_count),
+            counter("ingest.errors", &self.ingest_errors),
+            histogram("ingest.latency_ns", &self.ingest_latency),
+            histogram("finalize.latency_ns", &self.finalize_latency),
+            histogram("retention.compact.latency_ns", &self.compact_latency),
+        ];
+        self.queries.list(&mut entries);
+        entries.extend(computed);
+        MetricsSnapshot::from_entries(entries)
     }
 }
 
@@ -104,7 +118,7 @@ impl Clone for DetectorMetrics {
     /// Fresh metrics that keep only `ingest.count` and the tracer: the
     /// clone's queries and latencies are its own from the start.
     fn clone(&self) -> Self {
-        let mut clone = Self::new();
+        let mut clone = Self::default();
         clone.seed_ingests(self.ingest_count.get());
         clone.queries.set_tracer(Arc::clone(self.queries.tracer()));
         clone
@@ -121,35 +135,36 @@ impl Clone for DetectorMetrics {
 /// theirs, so every query is counted and traced exactly once.
 #[derive(Debug)]
 pub(crate) struct QueryInstruments {
-    count: [Arc<Counter>; QueryKind::ALL.len()],
-    errors: Arc<Counter>,
-    latency: [Arc<Histogram>; QueryKind::ALL.len()],
-    point_queries: Arc<Counter>,
-    pruned_subtrees: Arc<Counter>,
-    leaves_probed: Arc<Counter>,
-    /// Point answers per serving retention tier. Registered as
-    /// `retention.tier<k>.queries` by [`Self::sync`] once nonzero, so
+    count: [Counter; QueryKind::ALL.len()],
+    errors: Counter,
+    latency: [Histogram; QueryKind::ALL.len()],
+    point_queries: Counter,
+    pruned_subtrees: Counter,
+    leaves_probed: Counter,
+    /// Point answers per serving retention tier. Listed as
+    /// `retention.tier<k>.queries` by [`Self::list`] once nonzero, so
     /// detectors without retention export no tier families and the
     /// per-query cost is one relaxed add.
     tier_queries: [Counter; TIERS],
     tracer: Arc<Tracer>,
 }
 
-impl QueryInstruments {
-    /// Binds the `query.*` families in `registry`.
-    pub(crate) fn new(registry: &MetricsRegistry) -> Self {
+impl Default for QueryInstruments {
+    fn default() -> Self {
         QueryInstruments {
-            count: QueryKind::ALL.map(|k| registry.counter(k.count_metric())),
-            errors: registry.counter("query.errors"),
-            latency: QueryKind::ALL.map(|k| registry.histogram(k.latency_metric())),
-            point_queries: registry.counter("query.stats.point_queries"),
-            pruned_subtrees: registry.counter("query.stats.pruned_subtrees"),
-            leaves_probed: registry.counter("query.stats.leaves_probed"),
+            count: [const { Counter::new() }; QueryKind::ALL.len()],
+            errors: Counter::new(),
+            latency: std::array::from_fn(|_| Histogram::new()),
+            point_queries: Counter::new(),
+            pruned_subtrees: Counter::new(),
+            leaves_probed: Counter::new(),
             tier_queries: [const { Counter::new() }; TIERS],
             tracer: Arc::new(Tracer::disabled()),
         }
     }
+}
 
+impl QueryInstruments {
     /// Installs a tracer (replacing the default disabled one).
     pub(crate) fn set_tracer(&mut self, tracer: Arc<Tracer>) {
         self.tracer = tracer;
@@ -202,53 +217,49 @@ impl QueryInstruments {
         }
     }
 
-    /// Publishes the derived readings into `registry` before a snapshot
-    /// (cold path): the per-tier point-answer counts and the pruning
+    /// Lists the `query.*` families into `out` (cold path), with two
+    /// derived readings: the per-tier point-answer counts and the pruning
     /// effectiveness `query.stats.prune_ratio` (subtrees skipped per
     /// subtree visited). Both appear only once this layer has recorded
     /// something, so a sharded rollup — which sums gauges — never adds
     /// the facade's ratio to idle shards' ones.
-    fn sync(&self, registry: &MetricsRegistry) {
+    fn list(&self, out: &mut Vec<Entry>) {
+        for kind in QueryKind::ALL {
+            out.push(counter(kind.count_metric(), &self.count[kind.index()]));
+            out.push(histogram(kind.latency_metric(), &self.latency[kind.index()]));
+        }
+        out.extend([
+            counter("query.errors", &self.errors),
+            counter("query.stats.point_queries", &self.point_queries),
+            counter("query.stats.pruned_subtrees", &self.pruned_subtrees),
+            counter("query.stats.leaves_probed", &self.leaves_probed),
+        ]);
         for (k, c) in self.tier_queries.iter().enumerate() {
-            let n = c.get();
-            if n > 0 {
-                registry.counter(&format!("retention.tier{k}.queries")).set(n);
+            if c.get() > 0 {
+                out.push(counter(format!("retention.tier{k}.queries"), c));
             }
         }
         let pruned = self.pruned_subtrees.get() as f64;
         let probed = self.leaves_probed.get() as f64;
         if pruned + probed > 0.0 {
-            registry.gauge("query.stats.prune_ratio").set(pruned / (pruned + probed));
+            out.push(gauge("query.stats.prune_ratio", pruned / (pruned + probed)));
         }
     }
 }
 
 /// Facade-level metrics of a [`crate::ShardedDetector`]: batch ingestion
 /// and the queries the facade answers — what no single shard observes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct ShardMetrics {
-    registry: MetricsRegistry,
-    batches: Arc<Counter>,
-    batch_elements: Arc<Counter>,
-    batch_latency: Arc<Histogram>,
+    batches: Counter,
+    batch_elements: Counter,
+    batch_latency: Histogram,
     /// The facade's query instrumentation (shards never count or trace
-    /// the queries the facade routes to them). Boxed to keep the facade —
-    /// an [`crate::AnyDetector`] variant — small.
-    pub(crate) queries: Box<QueryInstruments>,
+    /// the queries the facade routes to them).
+    pub(crate) queries: QueryInstruments,
 }
 
 impl ShardMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        ShardMetrics {
-            batches: registry.counter("shard.batch.count"),
-            batch_elements: registry.counter("shard.batch.elements"),
-            batch_latency: registry.histogram("shard.batch.latency_ns"),
-            queries: Box::new(QueryInstruments::new(&registry)),
-            registry,
-        }
-    }
-
     /// Starts timing one `ingest_batch` call of `len` elements.
     pub(crate) fn batch_begin(&self, len: usize) -> Instant {
         self.batches.inc();
@@ -260,14 +271,16 @@ impl ShardMetrics {
         self.batch_latency.observe(started.elapsed());
     }
 
-    /// Refreshes a facade-level gauge (cold path).
-    pub(crate) fn set_gauge(&self, name: &str, value: f64) {
-        self.registry.gauge(name).set(value);
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.queries.sync(&self.registry);
-        self.registry.snapshot()
+    /// The facade's families plus `computed`, the per-shard readings.
+    pub(crate) fn snapshot(&self, computed: impl IntoIterator<Item = Entry>) -> MetricsSnapshot {
+        let mut entries = vec![
+            counter("shard.batch.count", &self.batches),
+            counter("shard.batch.elements", &self.batch_elements),
+            histogram("shard.batch.latency_ns", &self.batch_latency),
+        ];
+        self.queries.list(&mut entries);
+        entries.extend(computed);
+        MetricsSnapshot::from_entries(entries)
     }
 }
 
@@ -275,7 +288,7 @@ impl Clone for ShardMetrics {
     /// Fresh facade metrics sharing only the tracer (see
     /// [`DetectorMetrics`]' clone).
     fn clone(&self) -> Self {
-        let mut clone = Self::new();
+        let mut clone = Self::default();
         clone.queries.set_tracer(Arc::clone(self.queries.tracer()));
         clone
     }
@@ -283,37 +296,20 @@ impl Clone for ShardMetrics {
 
 /// Metrics of a [`crate::checkpoint::Checkpointer`]: checkpoint cadence,
 /// cost, and recovery outcomes.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct CheckpointMetrics {
-    registry: MetricsRegistry,
-    checkpoints: Arc<Counter>,
-    checkpoint_errors: Arc<Counter>,
-    checkpoint_bytes: Arc<Counter>,
-    checkpoint_latency: Arc<Histogram>,
-    recoveries: Arc<Counter>,
-    recovery_fallbacks: Arc<Counter>,
-    recovery_replayed: Arc<Counter>,
-    recovery_torn_tails: Arc<Counter>,
-    recovery_latency: Arc<Histogram>,
+    checkpoints: Counter,
+    checkpoint_errors: Counter,
+    checkpoint_bytes: Counter,
+    checkpoint_latency: Histogram,
+    recoveries: Counter,
+    recovery_fallbacks: Counter,
+    recovery_replayed: Counter,
+    recovery_torn_tails: Counter,
+    recovery_latency: Histogram,
 }
 
 impl CheckpointMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        CheckpointMetrics {
-            checkpoints: registry.counter("checkpoint.count"),
-            checkpoint_errors: registry.counter("checkpoint.errors"),
-            checkpoint_bytes: registry.counter("checkpoint.bytes"),
-            checkpoint_latency: registry.histogram("checkpoint.latency_ns"),
-            recoveries: registry.counter("recovery.count"),
-            recovery_fallbacks: registry.counter("recovery.fallbacks"),
-            recovery_replayed: registry.counter("recovery.replayed"),
-            recovery_torn_tails: registry.counter("recovery.torn_tails"),
-            recovery_latency: registry.histogram("recovery.latency_ns"),
-            registry,
-        }
-    }
-
     /// Records one successful checkpoint of `bytes` envelope bytes.
     pub(crate) fn checkpoint_ok(&self, bytes: u64, elapsed: std::time::Duration) {
         self.checkpoints.inc();
@@ -344,77 +340,61 @@ impl CheckpointMetrics {
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        MetricsSnapshot::from_entries([
+            counter("checkpoint.count", &self.checkpoints),
+            counter("checkpoint.errors", &self.checkpoint_errors),
+            counter("checkpoint.bytes", &self.checkpoint_bytes),
+            histogram("checkpoint.latency_ns", &self.checkpoint_latency),
+            counter("recovery.count", &self.recoveries),
+            counter("recovery.fallbacks", &self.recovery_fallbacks),
+            counter("recovery.replayed", &self.recovery_replayed),
+            counter("recovery.torn_tails", &self.recovery_torn_tails),
+            histogram("recovery.latency_ns", &self.recovery_latency),
+        ])
     }
 }
 
-/// Metrics of a [`crate::epoch::DetectorEpochs`]: publish cadence,
-/// reader-retry pressure on the snapshot cells, and the queries its views
-/// answer (the published clones' own registries are never scraped).
-#[derive(Debug)]
+/// Metrics of a [`crate::epoch::DetectorEpochs`]: publish cadence and
+/// the queries its views answer (the published clones' own metrics are
+/// never scraped).
+#[derive(Debug, Default)]
 pub(crate) struct EpochMetrics {
-    registry: MetricsRegistry,
-    published: Arc<Counter>,
-    reader_retries: Arc<Counter>,
-    publish_latency: Arc<Histogram>,
+    published: Counter,
+    publish_latency: Histogram,
     pub(crate) queries: QueryInstruments,
 }
 
 impl EpochMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        EpochMetrics {
-            published: registry.counter("epoch.published"),
-            reader_retries: registry.counter("epoch.reader_retries"),
-            publish_latency: registry.histogram("epoch.publish.latency_ns"),
-            queries: QueryInstruments::new(&registry),
-            registry,
-        }
-    }
-
     /// Records one completed publish across every cell.
     pub(crate) fn published(&self, elapsed: std::time::Duration) {
         self.published.inc();
         self.publish_latency.observe(elapsed);
     }
 
-    /// Syncs the cumulative reader-retry total (the cells own the live
-    /// count so the retry path stays a single relaxed `fetch_add`).
-    pub(crate) fn sync_reader_retries(&self, total: u64) {
-        self.reader_retries.set(total);
-    }
-
-    /// Refreshes an epoch gauge (cold path; registers on first use).
-    pub(crate) fn set_gauge(&self, name: &str, value: f64) {
-        self.registry.gauge(name).set(value);
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.queries.sync(&self.registry);
-        self.registry.snapshot()
+    /// The publisher's families, with the two readings the epoch cell
+    /// owns: its cumulative `reader_retries` (kept there so the retry path
+    /// stays a single relaxed `fetch_add`) and the published `generation`.
+    pub(crate) fn snapshot(&self, reader_retries: u64, generation: u64) -> MetricsSnapshot {
+        let mut entries = vec![
+            counter("epoch.published", &self.published),
+            ("epoch.reader_retries".to_owned(), MetricValue::Counter(reader_retries)),
+            histogram("epoch.publish.latency_ns", &self.publish_latency),
+            gauge("epoch.generation", generation as f64),
+        ];
+        self.queries.list(&mut entries);
+        MetricsSnapshot::from_entries(entries)
     }
 }
 
 /// Metrics of a [`crate::wal::WalWriter`]: append volume and sync latency.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WalMetrics {
-    registry: MetricsRegistry,
-    appends: Arc<Counter>,
-    bytes: Arc<Counter>,
-    sync_latency: Arc<Histogram>,
+    appends: Counter,
+    bytes: Counter,
+    sync_latency: Histogram,
 }
 
 impl WalMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        WalMetrics {
-            appends: registry.counter("wal.appends"),
-            bytes: registry.counter("wal.bytes"),
-            sync_latency: registry.histogram("wal.sync.latency_ns"),
-            registry,
-        }
-    }
-
     /// Records `n` appended records totalling `bytes` on-disk bytes.
     pub(crate) fn appended(&self, n: u64, bytes: u64) {
         self.appends.add(n);
@@ -431,30 +411,23 @@ impl WalMetrics {
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+        MetricsSnapshot::from_entries([
+            counter("wal.appends", &self.appends),
+            counter("wal.bytes", &self.bytes),
+            histogram("wal.sync.latency_ns", &self.sync_latency),
+        ])
     }
 }
 
 /// Metrics of a [`crate::MessagePipeline`]: flush batching and latency.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct PipelineMetrics {
-    registry: MetricsRegistry,
-    flushes: Arc<Counter>,
-    flushed_elements: Arc<Counter>,
-    flush_latency: Arc<Histogram>,
+    flushes: Counter,
+    flushed_elements: Counter,
+    flush_latency: Histogram,
 }
 
 impl PipelineMetrics {
-    pub(crate) fn new() -> Self {
-        let registry = MetricsRegistry::new();
-        PipelineMetrics {
-            flushes: registry.counter("pipeline.flush.count"),
-            flushed_elements: registry.counter("pipeline.flush.elements"),
-            flush_latency: registry.histogram("pipeline.flush.latency_ns"),
-            registry,
-        }
-    }
-
     /// Starts timing one flush of `len` released elements.
     pub(crate) fn flush_begin(&self, len: usize) -> Instant {
         self.flushes.inc();
@@ -466,12 +439,13 @@ impl PipelineMetrics {
         self.flush_latency.observe(started.elapsed());
     }
 
-    /// Refreshes a pipeline gauge (cold path).
-    pub(crate) fn set_gauge(&self, name: &str, value: f64) {
-        self.registry.gauge(name).set(value);
-    }
-
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
+    /// The flush families plus `computed`, the pipeline's stage readings.
+    pub(crate) fn snapshot(&self, computed: impl IntoIterator<Item = Entry>) -> MetricsSnapshot {
+        let flushes = [
+            counter("pipeline.flush.count", &self.flushes),
+            counter("pipeline.flush.elements", &self.flushed_elements),
+            histogram("pipeline.flush.latency_ns", &self.flush_latency),
+        ];
+        MetricsSnapshot::from_entries(flushes.into_iter().chain(computed))
     }
 }

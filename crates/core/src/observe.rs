@@ -28,7 +28,7 @@
 //! harvests them into child spans regardless of which shard ran the
 //! kernels. It also reads the answer's statistics (bursty-event probe
 //! counts, a point answer's retention tier), so those land in the same
-//! registry as the query's count.
+//! snapshot as the query's count.
 
 use std::fmt::Write as _;
 use std::sync::Arc;

@@ -11,11 +11,11 @@
 use bed_obs::{MetricsSnapshot, SpanName, Tracer};
 use bed_stream::element::{EventMapper, Message, StreamElement};
 use bed_stream::reorder::{LatePolicy, ReorderBuffer};
-use bed_stream::{EventId, Timestamp};
+use bed_stream::{EventId, StreamError, Timestamp};
 
 use crate::detector::BurstDetector;
 use crate::error::BedError;
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{gauge, PipelineMetrics};
 use crate::observe::Traceable;
 use crate::query::BurstQueries;
 use crate::shard::ShardedDetector;
@@ -43,9 +43,42 @@ pub trait EventSink {
     fn arrivals(&self) -> u64;
 }
 
+/// The admission rule every sink shares: each event inside
+/// `[0, universe)` (a single-event stream, `universe == None`, ignores
+/// ids) and timestamps non-decreasing from `last`, the stream's latest
+/// accepted arrival. Returns the batch's last timestamp (`last` for an
+/// empty batch). A refused batch mutates nothing, so a caller can check
+/// before it logs ([`crate::WalSink`]) or fans out
+/// ([`ShardedDetector::ingest_batch`]).
+#[inline]
+pub(crate) fn check_batch(
+    universe: Option<u32>,
+    last: Option<Timestamp>,
+    batch: &[(EventId, Timestamp)],
+) -> Result<Option<Timestamp>, BedError> {
+    let mut prev = last;
+    for &(event, ts) in batch {
+        if let Some(k) = universe.filter(|&k| event.value() >= k) {
+            return Err(
+                StreamError::EventOutOfUniverse { event: event.value(), universe: k }.into()
+            );
+        }
+        if let Some(p) = prev.filter(|&p| ts < p) {
+            return Err(StreamError::NonMonotonicTimestamp { previous: p, offered: ts }.into());
+        }
+        prev = Some(ts);
+    }
+    Ok(prev)
+}
+
+/// Single-event detectors ignore `event`, so one sink feeds every mode.
 impl EventSink for BurstDetector {
     fn ingest(&mut self, event: EventId, ts: Timestamp) -> Result<(), BedError> {
-        BurstDetector::ingest(self, event, ts)
+        if self.config().universe.is_none() {
+            self.ingest_single(ts)
+        } else {
+            BurstDetector::ingest(self, event, ts)
+        }
     }
 
     fn finalize(&mut self) {
@@ -125,7 +158,7 @@ impl<M: EventMapper, D: EventSink> MessagePipeline<M, D> {
             batch: Vec::new(),
             messages: 0,
             unmapped: 0,
-            metrics: PipelineMetrics::new(),
+            metrics: PipelineMetrics::default(),
             tracer: std::sync::Arc::new(Tracer::disabled()),
         }
     }
@@ -229,10 +262,12 @@ impl<M, D: BurstQueries> MessagePipeline<M, D> {
     /// `pipeline.{messages,unmapped,pending}` gauges, merged with the
     /// wrapped detector's own [`MetricsSnapshot`].
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.set_gauge("pipeline.messages", self.messages as f64);
-        self.metrics.set_gauge("pipeline.unmapped", self.unmapped as f64);
-        self.metrics.set_gauge("pipeline.pending", self.reorder.pending() as f64);
-        self.metrics.snapshot().merge(&self.detector.metrics())
+        let stages = [
+            gauge("pipeline.messages", self.messages as f64),
+            gauge("pipeline.unmapped", self.unmapped as f64),
+            gauge("pipeline.pending", self.reorder.pending() as f64),
+        ];
+        self.metrics.snapshot(stages).merge(&self.detector.metrics())
     }
 }
 

@@ -27,13 +27,14 @@
 
 use bed_hierarchy::{BurstyEventHit, QueryStats};
 use bed_obs::{MetricsSnapshot, Tracer};
-use bed_stream::{BurstSpan, EventId, StreamError, TimeRange, Timestamp};
+use bed_stream::{BurstSpan, EventId, TimeRange, Timestamp};
 
 use crate::config::DetectorConfig;
 use crate::detector::BurstDetector;
 use crate::error::BedError;
-use crate::metrics::ShardMetrics;
+use crate::metrics::{gauge, ShardMetrics};
 use crate::observe::Traceable;
+use crate::pipeline::check_batch;
 use crate::query::{BurstQueries, QueryRequest, QueryResponse, QueryStrategy};
 
 /// Batches below this size are ingested inline: spawning scoped threads
@@ -169,7 +170,9 @@ fn merge_hits(merged: &mut Vec<BurstyEventHit>) {
 pub struct ShardedDetector {
     shards: Vec<BurstDetector>,
     last_ts: Option<Timestamp>,
-    metrics: ShardMetrics,
+    /// Boxed to keep the facade — an [`crate::AnyDetector`] variant —
+    /// small: the metrics hold their histograms inline.
+    metrics: Box<ShardMetrics>,
 }
 
 /// Builder for [`ShardedDetector`], reached via
@@ -196,7 +199,7 @@ impl ShardedDetector {
         }
         let shards =
             (0..n).map(|_| BurstDetector::from_config(config)).collect::<Result<Vec<_>, _>>()?;
-        Ok(ShardedDetector { shards, last_ts: None, metrics: ShardMetrics::new() })
+        Ok(ShardedDetector { shards, last_ts: None, metrics: Box::default() })
     }
 
     /// The per-shard configuration (identical across shards).
@@ -219,40 +222,9 @@ impl ShardedDetector {
         &self.shards[index]
     }
 
-    fn universe(&self) -> u32 {
-        self.config().universe.expect("sharded detectors always have a universe")
-    }
-
-    /// Validates a batch against the universe and global timestamp order,
-    /// returning the batch's last timestamp. Nothing is ingested on error,
-    /// so a failed batch leaves the detector untouched.
-    fn validate_batch(
-        &self,
-        batch: &[(EventId, Timestamp)],
-    ) -> Result<Option<Timestamp>, BedError> {
-        let k = self.universe();
-        let mut prev = self.last_ts;
-        for &(event, ts) in batch {
-            if event.value() >= k {
-                return Err(
-                    StreamError::EventOutOfUniverse { event: event.value(), universe: k }.into()
-                );
-            }
-            if let Some(p) = prev {
-                if ts < p {
-                    return Err(
-                        StreamError::NonMonotonicTimestamp { previous: p, offered: ts }.into()
-                    );
-                }
-            }
-            prev = Some(ts);
-        }
-        Ok(prev)
-    }
-
     /// Records one arrival of `event` at `ts` on its owning shard.
     pub fn ingest(&mut self, event: EventId, ts: Timestamp) -> Result<(), BedError> {
-        self.validate_batch(std::slice::from_ref(&(event, ts)))?;
+        check_batch(self.config().universe, self.last_ts, &[(event, ts)])?;
         let owner = self.owner(event);
         self.shards[owner].ingest(event, ts)?;
         self.last_ts = Some(ts);
@@ -263,9 +235,10 @@ impl ShardedDetector {
     ///
     /// The batch must be non-decreasing in time and continue from where
     /// the last ingest left off, exactly like repeated [`Self::ingest`]
-    /// calls; validation happens up front so a failed batch is ingested
-    /// either fully or not at all. Per-shard order equals arrival order
-    /// because partitioning is a stable single pass.
+    /// calls; validation happens up front (the [`crate::EventSink`]
+    /// admission rule) so a failed batch is ingested either fully or not
+    /// at all. Per-shard order equals arrival order because partitioning
+    /// is a stable single pass.
     pub fn ingest_batch(&mut self, batch: &[(EventId, Timestamp)]) -> Result<(), BedError> {
         let started = self.metrics.batch_begin(batch.len());
         let result = self.ingest_batch_inner(batch);
@@ -274,7 +247,7 @@ impl ShardedDetector {
     }
 
     fn ingest_batch_inner(&mut self, batch: &[(EventId, Timestamp)]) -> Result<(), BedError> {
-        let last = self.validate_batch(batch)?;
+        let last = check_batch(self.config().universe, self.last_ts, batch)?;
         let n = self.shards.len();
         if n == 1 || batch.len() < PARALLEL_MIN_BATCH {
             for &(event, ts) in batch {
@@ -306,9 +279,7 @@ impl ShardedDetector {
                     .try_for_each(|h| h.join().expect("shard ingest worker panicked"))
             })?;
         }
-        if last.is_some() {
-            self.last_ts = last;
-        }
+        self.last_ts = last;
         Ok(())
     }
 
@@ -435,15 +406,15 @@ impl ShardedDetector {
 
     /// Captures a [`MetricsSnapshot`] rolling every shard up: counters and
     /// histograms are summed across shards (the facade's query families
-    /// included), and per-shard `shard.<i>.{arrivals,bytes}`
-    /// gauges plus `shard.count` are refreshed first.
+    /// included), next to the per-shard `shard.<i>.{arrivals,bytes}`
+    /// gauges and `shard.count`.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.set_gauge("shard.count", self.shards.len() as f64);
+        let mut per_shard = vec![gauge("shard.count", self.shards.len() as f64)];
         for (i, shard) in self.shards.iter().enumerate() {
-            self.metrics.set_gauge(&format!("shard.{i}.arrivals"), shard.arrivals() as f64);
-            self.metrics.set_gauge(&format!("shard.{i}.bytes"), shard.size_bytes() as f64);
+            per_shard.push(gauge(format!("shard.{i}.arrivals"), shard.arrivals() as f64));
+            per_shard.push(gauge(format!("shard.{i}.bytes"), shard.size_bytes() as f64));
         }
-        let mut merged = self.metrics.snapshot();
+        let mut merged = self.metrics.snapshot(per_shard);
         for shard in &self.shards {
             merged = merged.merge(&shard.metrics());
         }
@@ -552,7 +523,7 @@ impl bed_stream::Codec for ShardedDetector {
             return Err(CodecError::Invalid { context: "sharded shard mode" });
         }
         // Like BEDD, metrics restart on decode (runtime-only).
-        Ok(ShardedDetector { shards, last_ts, metrics: ShardMetrics::new() })
+        Ok(ShardedDetector { shards, last_ts, metrics: Box::default() })
     }
 }
 

@@ -4,6 +4,9 @@
 //! appended (and synced) *before* it reaches the detector, so after a
 //! crash the log is a superset of any snapshot's state and recovery is
 //! "load snapshot, replay the tail" (see [`crate::checkpoint::recover`]).
+//! [`WalSink`] checks each batch against the detector's admission rule
+//! first, so the log never holds an arrival the detector refused — one
+//! would make every later replay fail.
 //!
 //! On-disk layout:
 //!
@@ -39,7 +42,7 @@ use crate::config::DetectorConfig;
 use crate::error::BedError;
 use crate::metrics::WalMetrics;
 use crate::observe::Traceable;
-use crate::pipeline::EventSink;
+use crate::pipeline::{check_batch, EventSink};
 
 /// Magic tag of the WAL file.
 pub const WAL_MAGIC: [u8; 4] = *b"BEDW";
@@ -97,7 +100,7 @@ impl WalWriter {
         file.write_all(&encode_header(config, shards))?;
         file.flush()?;
         file.get_ref().sync_all()?;
-        Ok(WalWriter { file, path, seq: 0, pending: false, metrics: WalMetrics::new() })
+        Ok(WalWriter { file, path, seq: 0, pending: false, metrics: WalMetrics::default() })
     }
 
     /// The log's path.
@@ -249,7 +252,11 @@ impl<D: EventSink + Checkpointable> WalSink<D> {
         &self.wal
     }
 
+    /// Refuses `batch` unless the wrapped detector would accept all of it,
+    /// then logs and syncs it. Nothing reaches the log on refusal.
     fn log_and_sync(&mut self, batch: &[(EventId, Timestamp)]) -> Result<(), BedError> {
+        let last = Checkpointable::watermark(&self.inner).last_ts;
+        check_batch(Checkpointable::config(&self.inner).universe, last, batch)?;
         let trace = self.tracer.start_sampled(bed_obs::SpanName::WAL_APPEND);
         let log = |e: RecoveryError| BedError::Wal(e.to_string());
         let result = (|| {

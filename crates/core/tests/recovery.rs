@@ -350,6 +350,37 @@ fn kill_points_mid_checkpoint_leave_a_loadable_store() {
     }
 }
 
+/// The WAL holds exactly what the detector accepted: arrivals the detector
+/// refuses (out of order, outside the universe, or inside a batch that
+/// carries one) are refused before they are logged, so a later replay
+/// never trips over them.
+#[test]
+fn refused_arrivals_never_reach_the_wal() {
+    for (label, config, shards) in configs() {
+        let dir = scratch(&format!("refused-{label}"));
+        let wal_path = dir.join("arrivals.wal");
+        let mut sink = WalSink::create(&wal_path, build_empty(config, shards)).unwrap();
+        sink.ingest(EventId(1), Timestamp(100)).unwrap();
+        assert!(sink.ingest(EventId(1), Timestamp(50)).is_err(), "{label}: out of order");
+        if config.universe.is_some() {
+            assert!(sink.ingest(EventId(UNIVERSE), Timestamp(150)).is_err(), "{label}: universe");
+        }
+        let mixed = [(EventId(2), Timestamp(200)), (EventId(2), Timestamp(10))];
+        assert!(sink.ingest_batch(&mixed).is_err(), "{label}: batch with a refused arrival");
+        // Refused arrivals leave the clock at 100: an earlier timestamp
+        // than any of them is still in order.
+        sink.ingest(EventId(2), Timestamp(120)).unwrap();
+        let mut live = sink.into_inner().unwrap();
+        assert_eq!(live.arrivals(), 2, "{label}");
+
+        let store = SnapshotStore::new(dir.join("never-written.beds"));
+        let outcome = recover(&store, Some(&wal_path)).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(outcome.wal_records, 2, "{label}: the wal logged a refused arrival");
+        let mut restored = outcome.detector;
+        assert_equivalent(label, &mut live, &mut restored);
+    }
+}
+
 #[test]
 fn wal_from_a_different_config_is_refused_with_a_diff() {
     let mut rng = SmallRng::seed_from_u64(fault_seed() ^ 0x63_66_67);

@@ -301,7 +301,7 @@ fn epoch_views_serve_stamped_tiers_coherently() {
     check(&view, &det, "post-compaction epoch");
 
     // The views counted every point answer once, under its serving tier,
-    // into the epochs' registry (not the published clones' ones).
+    // into the epochs' own metrics (not the published clones' ones).
     let snap = epochs.metrics();
     let tier_queries = |k: u32| snap.counter(&format!("retention.tier{k}.queries"));
     assert!(tier_queries(0).is_some() && tier_queries(1).is_some(), "{snap:?}");

@@ -1,16 +1,17 @@
 //! # bed-obs — observability primitives for the `bed` workspace
 //!
-//! A zero-dependency, std-only instrumentation layer: atomic [`Counter`]s,
-//! [`Gauge`]s and fixed-bucket latency [`Histogram`]s collected in a
-//! [`MetricsRegistry`] and exported as an immutable [`MetricsSnapshot`] with
-//! deterministic text and JSON renderers.
+//! A zero-dependency, std-only instrumentation layer: atomic [`Counter`]s
+//! and fixed-bucket latency [`Histogram`]s, held by value in the component
+//! they measure, and an immutable [`MetricsSnapshot`] with deterministic
+//! text and JSON renderers. At snapshot time each owner lists its
+//! families by name next to the values it reads; readings computed on the
+//! spot (sizes, occupancy) are plain gauge entries.
 //!
 //! Design constraints (in priority order):
 //!
 //! 1. **Cheap enough to stay on by default.** Every hot-path operation is a
-//!    single relaxed atomic RMW; the registry mutex is only taken at
-//!    registration and snapshot time, never per event. Latency histograms are
-//!    meant to be *sampled* by the caller (e.g. 1-in-64 ingests) so that
+//!    single relaxed atomic RMW and nothing takes a lock. Latency histograms
+//!    are meant to be *sampled* by the caller (e.g. 1-in-64 ingests) so that
 //!    `Instant::now()` never dominates a sketch update.
 //! 2. **No dependencies.** The container builds offline; everything here is
 //!    `std` only, including the hand-rolled JSON renderer.
@@ -19,16 +20,19 @@
 //!    pin the schema.
 //!
 //! ```
-//! use bed_obs::MetricsRegistry;
+//! use bed_obs::{Counter, Histogram, MetricValue, MetricsSnapshot};
 //!
-//! let registry = MetricsRegistry::new();
-//! let ingests = registry.counter("ingest.count");
-//! let latency = registry.histogram("ingest.latency_ns");
+//! let ingests = Counter::new();
+//! let latency = Histogram::new();
 //!
 //! ingests.inc();
 //! latency.record_ns(1_200);
 //!
-//! let snap = registry.snapshot();
+//! let snap = MetricsSnapshot::from_entries([
+//!     ("ingest.count".to_owned(), MetricValue::Counter(ingests.get())),
+//!     ("ingest.latency_ns".to_owned(), MetricValue::Histogram(latency.snapshot())),
+//!     ("structure.bytes".to_owned(), MetricValue::Gauge(4096.0)),
+//! ]);
 //! assert_eq!(snap.counter("ingest.count"), Some(1));
 //! assert!(snap.to_json().contains("\"ingest.count\""));
 //! ```
@@ -52,13 +56,11 @@
 
 mod metrics;
 mod profile;
-mod registry;
 mod snapshot;
 mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, LATENCY_BOUNDS_NS};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, LATENCY_BOUNDS_NS};
 pub use profile::{default_stage_specs, Profiler, StageSpec};
-pub use registry::{Metric, MetricsRegistry};
 pub use snapshot::{MetricValue, MetricsSnapshot, RenderEntry};
 pub use trace::{
     assemble_trace_tree, ActiveTrace, SlowQuery, SpanName, TraceBuffer, TraceEvent, TraceId,

@@ -1,4 +1,4 @@
-//! Atomic metric primitives: counters, gauges, and latency histograms.
+//! Atomic metric primitives: counters and latency histograms.
 //!
 //! All types are internally synchronised with relaxed atomics: they are safe
 //! to share across threads behind an `Arc`, and no operation takes a lock.
@@ -48,32 +48,6 @@ impl Counter {
     /// e.g. `ingest.count` from a decoded sketch's arrival total).
     pub fn set(&self, v: u64) {
         self.0.store(v, Relaxed);
-    }
-}
-
-/// A last-write-wins `f64` gauge (stored as IEEE-754 bits in an `AtomicU64`).
-///
-/// Gauges carry *structural* readings — segment counts, cell occupancy,
-/// bytes — refreshed at snapshot time rather than maintained incrementally.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Creates a gauge at `0.0`.
-    pub const fn new() -> Self {
-        Self(AtomicU64::new(0))
-    }
-
-    /// Overwrites the reading.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Relaxed);
-    }
-
-    /// Current reading.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Relaxed))
     }
 }
 
@@ -272,16 +246,6 @@ mod tests {
         assert_eq!(c.get(), 10);
         assert_eq!(c.inc_fetch(), 10);
         assert_eq!(c.get(), 11);
-    }
-
-    #[test]
-    fn gauge_stores_f64() {
-        let g = Gauge::new();
-        assert_eq!(g.get(), 0.0);
-        g.set(3.25);
-        assert_eq!(g.get(), 3.25);
-        g.set(-1.5);
-        assert_eq!(g.get(), -1.5);
     }
 
     #[test]

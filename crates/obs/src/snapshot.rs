@@ -15,10 +15,8 @@ pub enum MetricValue {
     Histogram(HistogramSnapshot),
 }
 
-/// An immutable, name-sorted capture of a [`MetricsRegistry`] — the unit
-/// that renderers, the CLI, and the bench report consume.
-///
-/// [`MetricsRegistry`]: crate::MetricsRegistry
+/// An immutable, name-sorted capture of a component's metric families —
+/// the unit that renderers, the CLI, and the bench report consume.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
     entries: Vec<(String, MetricValue)>,
@@ -95,7 +93,7 @@ impl MetricsSnapshot {
     /// readings where a sum is meaningless.
     ///
     /// The same name carrying different metric types on the two sides is a
-    /// bug in the producing registries and debug-asserts. In release builds
+    /// bug in the producing components and debug-asserts. In release builds
     /// the **last writer wins**: the value from `other` replaces the one in
     /// `self`, mirroring the duplicate-name rule of [`Self::from_entries`].
     pub fn merge(&self, other: &MetricsSnapshot) -> MetricsSnapshot {

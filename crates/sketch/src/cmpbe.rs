@@ -4,11 +4,10 @@
 use std::time::Instant;
 
 use bed_pbe::kernel::CumHint;
-use bed_pbe::soa::ProbeRows;
+use bed_pbe::soa::{bank_of_cells, PieceBank, ProbeRows};
 use bed_pbe::{burstiness, CurveSketch};
 use bed_stream::{BurstSpan, EventId, StreamError, Timestamp};
 
-use crate::bank::CellBank;
 use crate::hash::HashFamily;
 use crate::params::SketchParams;
 
@@ -63,11 +62,14 @@ pub struct CmPbe<P> {
     /// when the id universe fits in one row — no collisions, no need for
     /// multiple rows.
     identity: bool,
-    /// Struct-of-arrays query mirror of `cells`, built by
-    /// [`CmPbe::finalize`] and dropped by any ingest. Purely an
-    /// acceleration structure: never persisted (the `CMPB` codec skips it)
-    /// and bit-for-bit transparent to every query.
-    bank: Option<CellBank>,
+    /// Struct-of-arrays query mirror of `cells`: one [`PieceBank`] whose
+    /// lane index *is* the flat cell index (`row · w + bucket`), so probes
+    /// resolve over four contiguous, cache-line-aligned arrays instead of
+    /// chasing `d` heap pointers. Built by [`CmPbe::finalize`] and dropped
+    /// by any ingest. Purely an acceleration structure: never persisted
+    /// (the `CMPB` codec skips it) and bit-for-bit transparent to every
+    /// query.
+    bank: Option<PieceBank>,
 }
 
 impl<P: CurveSketch> CmPbe<P> {
@@ -176,7 +178,7 @@ impl<P: CurveSketch> CmPbe<P> {
             self.bank = None;
             return;
         }
-        self.bank = Some(CellBank::build(&self.cells));
+        self.bank = Some(bank_of_cells(&self.cells));
     }
 
     /// Visits every cell immutably (row-major) — observability walks.
@@ -211,7 +213,7 @@ impl<P: CurveSketch> CmPbe<P> {
     /// from [`CmPbe::size_bytes`], which keeps the paper's summary-only
     /// accounting.
     pub fn bank_size_bytes(&self) -> usize {
-        self.bank.as_ref().map_or(0, CellBank::size_bytes)
+        self.bank.as_ref().map_or(0, PieceBank::size_bytes)
     }
 
     /// The cells `event` maps to, one per row in row order — the AoS
@@ -231,7 +233,7 @@ impl<P: CurveSketch> CmPbe<P> {
             for (row, v) in vals[..d].iter_mut().enumerate() {
                 let ci = self.cell_index(row, event);
                 *v = match &self.bank {
-                    Some(bank) => bank.cum_cell(ci, t),
+                    Some(bank) => bank.cum_lane(ci as u32, t),
                     None => self.cells[ci].estimate_cum(t),
                 };
             }
@@ -418,7 +420,7 @@ impl<P: CurveSketch> CmPbe<P> {
         // own piece structs; values are bit-identical either way.
         let probe_cell = |ci: usize| -> [f64; 3] {
             match &self.bank {
-                Some(bank) => bank.probe3_cell(ci, t, tau),
+                Some(bank) => bank.probe3_lane(ci as u32, t, tau),
                 None => self.cells[ci].probe3(t, tau),
             }
         };
@@ -584,7 +586,9 @@ impl<P: CurveSketch> CmPbe<P> {
             match &self.bank {
                 // SoA sweep: one forward walk of the cell's contiguous key
                 // lane answers every ascending position.
-                Some(bank) => bank.cum_cell_sweep(ci, knees, &mut probes[base..base + npos]),
+                Some(bank) => {
+                    bank.cum_lane_sweep(ci as u32, knees, &mut probes[base..base + npos]);
+                }
                 None => {
                     let cell = &self.cells[ci];
                     let mut h = CumHint::new();

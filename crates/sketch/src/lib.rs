@@ -28,14 +28,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bank;
 pub mod cmpbe;
 pub mod countmin;
 pub mod hash;
 pub mod params;
 pub mod retention;
 
-pub use bank::CellBank;
 pub use cmpbe::{
     Clock, CmPbe, CmStructure, Combiner, NoClock, QueryScratch, StageClock, StageTimings,
     MEDIAN_STACK,

@@ -1179,3 +1179,506 @@ fn trace_tree_assembly_is_golden() {
     assert_eq!(assemble_trace_tree(&events, TraceId(0xabc)).as_deref(), Some(golden));
     assert_eq!(assemble_trace_tree(&events, TraceId(0xbeef)), None);
 }
+
+// ---------------------------------------------------------------------------
+// Metric family contract: every owner's full family list — name, type, and
+// the deterministic values — on a fixed stream and query mix. bedbench, the
+// CI greps and dashboards key on these names, so a rename, a dropped family
+// or a changed type fails here rather than on a scrape.
+// ---------------------------------------------------------------------------
+
+/// One line per family: `name type value`. Counters and gauges print their
+/// value; histograms their observation count (bucket placement is timing).
+fn family_lines(snap: &MetricsSnapshot) -> String {
+    snap.iter()
+        .map(|(name, value)| match value {
+            MetricValue::Counter(n) => format!("{name} counter {n}\n"),
+            MetricValue::Gauge(g) => format!("{name} gauge {g}\n"),
+            MetricValue::Histogram(h) => format!("{name} histogram {}\n", h.count),
+        })
+        .collect()
+}
+
+/// A fixed stream over 16 event ids: steady background traffic with one
+/// burst of event 3 between ticks 3 000 and 3 600.
+fn family_stream() -> Vec<(EventId, Timestamp)> {
+    let mut out = Vec::new();
+    for i in 0..600u64 {
+        let ts = Timestamp(i * 10);
+        out.push((EventId(((i * 7 + i / 50) % 16) as u32), ts));
+        if (300..360).contains(&i) {
+            out.push((EventId(3), ts));
+        }
+    }
+    out
+}
+
+/// The fixed query mix: every kind once, plus one refused request.
+fn family_queries(universe: u32) -> Vec<QueryRequest> {
+    let tau = BurstSpan::new(500).unwrap();
+    let event = EventId(3 % universe);
+    vec![
+        QueryRequest::Point { event, t: Timestamp(3_500), tau },
+        QueryRequest::Point { event, t: Timestamp(1_000), tau },
+        QueryRequest::BurstyTimes { event, theta: 1.0, tau, horizon: Timestamp(6_000) },
+        QueryRequest::BurstyEvents {
+            t: Timestamp(3_500),
+            theta: 1.0,
+            tau,
+            strategy: QueryStrategy::Pruned,
+        },
+        QueryRequest::Series {
+            event,
+            tau,
+            range: TimeRange::new(Timestamp(0), Timestamp(6_000)).unwrap(),
+            step: 1_000,
+        },
+        QueryRequest::TopK { event, k: 3, tau, horizon: Timestamp(6_000) },
+        QueryRequest::Point { event: EventId(universe), t: Timestamp(0), tau },
+    ]
+}
+
+fn ask_all(q: &dyn BurstQueries, universe: u32) {
+    for request in family_queries(universe) {
+        let _ = q.query(&request);
+    }
+}
+
+/// Feeds the stream in batches (plus one refused arrival) into `det`,
+/// finalizes it, and answers the query mix.
+fn drive(mut det: AnyDetector) -> AnyDetector {
+    let universe = det.config().universe.unwrap_or(1);
+    let stream: Vec<_> =
+        family_stream().into_iter().map(|(e, ts)| (EventId(e.0 % universe), ts)).collect();
+    for batch in stream.chunks(100) {
+        bed::EventSink::ingest_batch(&mut det, batch).unwrap();
+    }
+    assert!(det.ingest(EventId(0), Timestamp(0)).is_err());
+    det.finalize();
+    ask_all(det.queries(), universe);
+    det
+}
+
+fn family_detectors() -> Vec<(&'static str, AnyDetector)> {
+    let plain = |b: bed::BurstDetectorBuilder| AnyDetector::Plain(Box::new(b.build().unwrap()));
+    vec![
+        ("flat", plain(BurstDetector::builder().universe(16).hierarchical(false))),
+        ("hierarchical", plain(BurstDetector::builder().universe(16))),
+        ("single", plain(BurstDetector::builder().single_event())),
+        (
+            "retention",
+            plain(
+                BurstDetector::builder()
+                    .universe(16)
+                    .retention(Some(RetentionPolicy::new(400, 4, 128).unwrap())),
+            ),
+        ),
+        (
+            "sharded",
+            AnyDetector::Sharded(BurstDetector::builder().universe(16).shards(3).build().unwrap()),
+        ),
+    ]
+}
+
+#[test]
+fn metric_families_are_golden() {
+    let mut actual = String::new();
+    for (label, det) in family_detectors() {
+        let det = drive(det);
+        actual += &format!("== {label}\n{}", family_lines(&det.queries().metrics()));
+        // The epoch surface over the same detector: genesis plus one
+        // republish, and the query mix answered through a view.
+        let epochs = DetectorEpochs::new(&det);
+        epochs.publish(&det);
+        ask_all(&epochs.view(), det.config().universe.unwrap_or(1));
+        actual += &format!("== {label} epochs\n{}", family_lines(&epochs.metrics()));
+    }
+
+    let dir = std::env::temp_dir().join(format!("bed-families-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let wal_path = dir.join("arrivals.wal");
+    let det = BurstDetector::builder().universe(16).build().unwrap();
+    let mut wal = bed::WalWriter::create(&wal_path, det.config(), 0).unwrap();
+    for &(event, ts) in &family_stream()[..100] {
+        wal.append(event, ts).unwrap();
+    }
+    wal.sync().unwrap();
+    wal.sync().unwrap(); // nothing pending: not a second sync
+    actual += &format!("== wal\n{}", family_lines(&wal.metrics()));
+
+    let mut det = AnyDetector::Plain(Box::new(det));
+    for &(event, ts) in &family_stream()[..60] {
+        det.ingest(event, ts).unwrap();
+    }
+    let policy = bed::CheckpointPolicy { every_arrivals: 50 };
+    let mut ckpt = bed::Checkpointer::new(dir.join("state.snap"), policy);
+    ckpt.checkpoint(&det).unwrap();
+    let outcome = ckpt.recover(Some(&wal_path)).unwrap();
+    assert_eq!(outcome.replayed, 40);
+    actual += &format!("== checkpoint\n{}", family_lines(&ckpt.metrics()));
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let det = BurstDetector::builder().universe(64).build().unwrap();
+    let mut pipe = bed::MessagePipeline::new(det, bed::stream::HashtagMapper::new(64), 30);
+    for i in 0..200u64 {
+        let text = match i % 4 {
+            0 => "#soccer kickoff",
+            1 => "#soccer #brasil",
+            2 => "no tags here",
+            _ => "#swimming",
+        };
+        // Every fifth message arrives slightly late.
+        let ts = if i % 5 == 4 { i * 10 - 15 } else { i * 10 };
+        pipe.offer(bed::stream::Message::new(text, ts)).unwrap();
+    }
+    actual += &format!("== pipeline\n{}", family_lines(&pipe.metrics()));
+
+    assert_eq!(actual, METRIC_FAMILIES_GOLDEN, "actual families:\n{actual}");
+}
+
+const METRIC_FAMILIES_GOLDEN: &str = "\
+== flat
+detector.arrivals gauge 660
+finalize.latency_ns histogram 1
+ingest.count counter 661
+ingest.errors counter 1
+ingest.latency_ns histogram 11
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 16
+query.stats.point_queries counter 16
+query.stats.prune_ratio gauge 0
+query.stats.pruned_subtrees counter 0
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+retention.compact.latency_ns histogram 0
+structure.bytes gauge 1728
+structure.cmpbe.buffered gauge 0
+structure.cmpbe.depth gauge 4
+structure.cmpbe.fill_ratio gauge 0.029411764705882353
+structure.cmpbe.heaviest_cell_arrivals gauge 97
+structure.cmpbe.occupied_cells gauge 64
+structure.cmpbe.pieces gauge 72
+structure.cmpbe.width gauge 544
+== flat epochs
+epoch.generation gauge 2
+epoch.publish.latency_ns histogram 2
+epoch.published counter 2
+epoch.reader_retries counter 0
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 16
+query.stats.point_queries counter 16
+query.stats.prune_ratio gauge 0
+query.stats.pruned_subtrees counter 0
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+== hierarchical
+detector.arrivals gauge 660
+finalize.latency_ns histogram 1
+ingest.count counter 661
+ingest.errors counter 1
+ingest.latency_ns histogram 11
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 2
+query.stats.point_queries counter 15
+query.stats.prune_ratio gauge 0.6
+query.stats.pruned_subtrees counter 3
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+retention.compact.latency_ns histogram 0
+structure.bytes gauge 984
+structure.cmpbe.buffered gauge 0
+structure.cmpbe.depth gauge 1
+structure.cmpbe.fill_ratio gauge 1
+structure.cmpbe.heaviest_cell_arrivals gauge 97
+structure.cmpbe.occupied_cells gauge 16
+structure.cmpbe.pieces gauge 18
+structure.cmpbe.width gauge 16
+structure.forest.buffered gauge 0
+structure.forest.levels gauge 5
+structure.forest.nodes gauge 31
+structure.forest.occupied_nodes gauge 31
+structure.forest.pieces gauge 41
+== hierarchical epochs
+epoch.generation gauge 2
+epoch.publish.latency_ns histogram 2
+epoch.published counter 2
+epoch.reader_retries counter 0
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 2
+query.stats.point_queries counter 15
+query.stats.prune_ratio gauge 0.6
+query.stats.pruned_subtrees counter 3
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+== single
+detector.arrivals gauge 660
+finalize.latency_ns histogram 1
+ingest.count counter 661
+ingest.errors counter 1
+ingest.latency_ns histogram 11
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 2
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 0
+query.stats.point_queries counter 0
+query.stats.pruned_subtrees counter 0
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+retention.compact.latency_ns histogram 0
+structure.bytes gauge 72
+structure.pbe.buffered gauge 0
+structure.pbe.pieces gauge 3
+== single epochs
+epoch.generation gauge 2
+epoch.publish.latency_ns histogram 2
+epoch.published counter 2
+epoch.reader_retries counter 0
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 2
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 0
+query.stats.point_queries counter 0
+query.stats.pruned_subtrees counter 0
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+== retention
+detector.arrivals gauge 660
+finalize.latency_ns histogram 1
+ingest.count counter 661
+ingest.errors counter 1
+ingest.latency_ns histogram 11
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 16
+query.stats.point_queries counter 31
+query.stats.prune_ratio gauge 0
+query.stats.pruned_subtrees counter 0
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+retention.compact.latency_ns histogram 5
+retention.compactions gauge 5
+retention.tier0.bytes gauge 1656
+retention.tier0.knees gauge 57
+retention.tier0.span_ticks gauge 400
+retention.tier1.bytes gauge 128
+retention.tier1.knees gauge 8
+retention.tier1.span_ticks gauge 400
+retention.tier2.bytes gauge 976
+retention.tier2.knees gauge 61
+retention.tier2.span_ticks gauge 800
+retention.tier3.bytes gauge 1232
+retention.tier3.knees gauge 77
+retention.tier3.queries counter 1
+retention.tier3.span_ticks gauge 1600
+retention.tier4.bytes gauge 1824
+retention.tier4.knees gauge 114
+retention.tier4.queries counter 1
+retention.tier4.span_ticks gauge 3200
+retention.tiers gauge 5
+retention.window_ticks gauge 400
+structure.bytes gauge 7056
+structure.cmpbe.buffered gauge 0
+structure.cmpbe.depth gauge 1
+structure.cmpbe.fill_ratio gauge 1
+structure.cmpbe.heaviest_cell_arrivals gauge 97
+structure.cmpbe.occupied_cells gauge 16
+structure.cmpbe.pieces gauge 192
+structure.cmpbe.width gauge 16
+structure.forest.buffered gauge 0
+structure.forest.levels gauge 5
+structure.forest.nodes gauge 31
+structure.forest.occupied_nodes gauge 31
+structure.forest.pieces gauge 348
+== retention epochs
+epoch.generation gauge 2
+epoch.publish.latency_ns histogram 2
+epoch.published counter 2
+epoch.reader_retries counter 0
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 16
+query.stats.point_queries counter 31
+query.stats.prune_ratio gauge 0
+query.stats.pruned_subtrees counter 0
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+retention.tier3.queries counter 1
+retention.tier4.queries counter 1
+== sharded
+detector.arrivals gauge 660
+finalize.latency_ns histogram 3
+ingest.count counter 660
+ingest.errors counter 0
+ingest.latency_ns histogram 12
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 2
+query.stats.point_queries counter 21
+query.stats.prune_ratio gauge 0.7142857142857143
+query.stats.pruned_subtrees counter 5
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+retention.compact.latency_ns histogram 0
+shard.0.arrivals gauge 210
+shard.0.bytes gauge 600
+shard.1.arrivals gauge 261
+shard.1.bytes gauge 480
+shard.2.arrivals gauge 189
+shard.2.bytes gauge 360
+shard.batch.count counter 7
+shard.batch.elements counter 660
+shard.batch.latency_ns histogram 7
+shard.count gauge 3
+structure.bytes gauge 1440
+structure.cmpbe.buffered gauge 0
+structure.cmpbe.depth gauge 3
+structure.cmpbe.fill_ratio gauge 1
+structure.cmpbe.heaviest_cell_arrivals gauge 173
+structure.cmpbe.occupied_cells gauge 16
+structure.cmpbe.pieces gauge 18
+structure.cmpbe.width gauge 48
+structure.forest.buffered gauge 0
+structure.forest.levels gauge 15
+structure.forest.nodes gauge 93
+structure.forest.occupied_nodes gauge 50
+structure.forest.pieces gauge 60
+== sharded epochs
+epoch.generation gauge 2
+epoch.publish.latency_ns histogram 2
+epoch.published counter 2
+epoch.reader_retries counter 0
+query.bursty_events.count counter 1
+query.bursty_events.latency_ns histogram 1
+query.bursty_times.count counter 1
+query.bursty_times.latency_ns histogram 1
+query.errors counter 1
+query.point.count counter 3
+query.point.latency_ns histogram 3
+query.series.count counter 1
+query.series.latency_ns histogram 1
+query.stats.leaves_probed counter 2
+query.stats.point_queries counter 21
+query.stats.prune_ratio gauge 0.7142857142857143
+query.stats.pruned_subtrees counter 5
+query.top_k.count counter 1
+query.top_k.latency_ns histogram 1
+== wal
+wal.appends counter 100
+wal.bytes counter 1600
+wal.sync.latency_ns histogram 1
+== checkpoint
+checkpoint.bytes counter 6203
+checkpoint.count counter 1
+checkpoint.errors counter 0
+checkpoint.latency_ns histogram 1
+recovery.count counter 1
+recovery.fallbacks counter 0
+recovery.latency_ns histogram 1
+recovery.replayed counter 40
+recovery.torn_tails counter 0
+== pipeline
+detector.arrivals gauge 195
+finalize.latency_ns histogram 0
+ingest.count counter 195
+ingest.errors counter 0
+ingest.latency_ns histogram 4
+pipeline.flush.count counter 88
+pipeline.flush.elements counter 195
+pipeline.flush.latency_ns histogram 88
+pipeline.messages gauge 200
+pipeline.pending gauge 5
+pipeline.unmapped gauge 50
+query.bursty_events.count counter 0
+query.bursty_events.latency_ns histogram 0
+query.bursty_times.count counter 0
+query.bursty_times.latency_ns histogram 0
+query.errors counter 0
+query.point.count counter 0
+query.point.latency_ns histogram 0
+query.series.count counter 0
+query.series.latency_ns histogram 0
+query.stats.leaves_probed counter 0
+query.stats.point_queries counter 0
+query.stats.pruned_subtrees counter 0
+query.top_k.count counter 0
+query.top_k.latency_ns histogram 0
+retention.compact.latency_ns histogram 0
+structure.bytes gauge 432
+structure.cmpbe.buffered gauge 13
+structure.cmpbe.depth gauge 1
+structure.cmpbe.fill_ratio gauge 0.046875
+structure.cmpbe.heaviest_cell_arrivals gauge 98
+structure.cmpbe.occupied_cells gauge 3
+structure.cmpbe.pieces gauge 3
+structure.cmpbe.width gauge 64
+structure.forest.buffered gauge 78
+structure.forest.levels gauge 7
+structure.forest.nodes gauge 127
+structure.forest.occupied_nodes gauge 18
+structure.forest.pieces gauge 18
+";
