@@ -54,7 +54,9 @@
 //!   client spaces its bytes, and a connection that already waited longer
 //!   than that in the queue gets the same `503` unread. Idle or trickling
 //!   sockets therefore hold a worker for at most 500 ms each, and drain
-//!   instead of stalling real requests.
+//!   instead of stalling real requests. A panic while answering is a
+//!   `500` with a JSON error, and the worker goes on to the next
+//!   connection.
 //! - **Ingest** owns the detector; nothing else touches it, so there is no
 //!   detector lock. At every epoch publish it also publishes the
 //!   detector's metrics snapshot, and after every chunk it stores the live
@@ -363,7 +365,7 @@ fn serve_until(
         });
         scope.spawn(|| watch_loop(&ctx, stop, opts.profile_every_ms, bound));
         for _ in 0..WORKERS {
-            scope.spawn(|| worker_loop(&jobs, &ctx));
+            scope.spawn(|| worker_loop(&jobs, &ctx, respond));
         }
         let r = accept_loop(&listener, queue, &ctx, stop);
         // Any exit from the accept loop (including an error) must release
@@ -421,11 +423,15 @@ fn accept_loop(
     }
 }
 
-/// One pool worker: answers queued connections until the acceptor closes
-/// the queue and it is drained. A connection that waited longer than
-/// [`READ_TIMEOUT`] is shed unread; a panic while answering is contained
-/// to its connection, so the pool never shrinks.
-fn worker_loop(jobs: &Mutex<Receiver<Queued>>, ctx: &ServeCtx) {
+/// Maps a parsed request to `(status, content type, body)`: [`respond`]
+/// in the server, a panicking stand-in in tests.
+type Route = fn(&Request, &ServeCtx) -> (&'static str, &'static str, String);
+
+/// One pool worker: answers queued connections through `route` until the
+/// acceptor closes the queue and it is drained. A connection that waited
+/// longer than [`READ_TIMEOUT`] is shed unread; a panic while answering is
+/// contained to its connection, so the pool never shrinks.
+fn worker_loop(jobs: &Mutex<Receiver<Queued>>, ctx: &ServeCtx, route: Route) {
     let server = &ctx.server;
     loop {
         // The guard drops at the end of this `let` (a `while let` would
@@ -438,7 +444,7 @@ fn worker_loop(jobs: &Mutex<Receiver<Queued>>, ctx: &ServeCtx) {
         if job.accepted.elapsed() > READ_TIMEOUT {
             shed(job.stream, server);
         } else {
-            let _ = caught(|| handle_connection(job.stream, ctx));
+            let _ = caught(|| handle_connection(job.stream, ctx, route));
         }
         server.busy.fetch_sub(1, Ordering::Relaxed);
     }
@@ -571,8 +577,9 @@ fn loopback(mut addr: SocketAddr) -> SocketAddr {
 
 /// Answers one request on `stream` and closes it. The request's bytes
 /// must arrive within [`READ_TIMEOUT`] of this call, however the client
-/// spaces them.
-fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<()> {
+/// spaces them. A panic in `route` is answered `500` with a JSON error
+/// while the stream is still ours, not by closing it unanswered.
+fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx, route: Route) -> std::io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
     let request = match read_request(&mut stream, Instant::now() + READ_TIMEOUT)? {
         ReadOutcome::Request(r) => r,
@@ -587,7 +594,9 @@ fn handle_connection(mut stream: TcpStream, ctx: &ServeCtx) -> std::io::Result<(
             );
         }
     };
-    let (status, content_type, body) = respond(&request, ctx);
+    let (status, content_type, body) = caught(|| route(&request, ctx)).unwrap_or_else(|panic| {
+        ("500 Internal Server Error", CT_JSON, error_body(&format!("internal error: {panic}")))
+    });
     write_response(&mut stream, status, "", content_type, &body)
 }
 
@@ -1753,5 +1762,51 @@ mod tests {
             let (status, _, body) = respond(&request("GET", route), &ctx);
             assert_eq!(status, "200 OK", "{route}: {body}");
         }
+    }
+
+    /// A panicking answer is a `500` with a JSON error, and the worker
+    /// that caught it goes on to answer the next queued connection.
+    #[test]
+    fn a_panicking_answer_is_a_500_and_the_worker_serves_on() {
+        fn exploding(req: &Request, ctx: &ServeCtx) -> (&'static str, &'static str, String) {
+            if req.path == "/boom" {
+                panic!("answer exploded");
+            }
+            respond(req, ctx)
+        }
+        let mut det = detector_from_flags(&flags(1)).unwrap();
+        let ctx = ServeCtx::new(&mut det, &opts(128));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (queue, jobs) = mpsc::sync_channel(QUEUE_DEPTH);
+        let mut clients = Vec::new();
+        for path in ["/boom", "/livez"] {
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            write!(client, "GET {path} HTTP/1.1\r\nHost: bed\r\n\r\n").unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            ctx.server.queued.fetch_add(1, Ordering::Relaxed);
+            queue.send(Queued { stream, accepted: Instant::now() }).unwrap();
+            clients.push(client);
+        }
+        drop(queue);
+        // One worker on this thread answers both, then finds the queue
+        // closed and drained and returns.
+        worker_loop(&Mutex::new(jobs), &ctx, exploding);
+
+        let mut answers = clients.into_iter().map(|mut client| {
+            let mut resp = String::new();
+            client.read_to_string(&mut resp).unwrap();
+            resp
+        });
+        let boom = answers.next().unwrap();
+        assert!(boom.starts_with("HTTP/1.1 500 Internal Server Error\r\n"), "{boom}");
+        assert!(boom.contains(CT_JSON), "{boom}");
+        assert!(boom.ends_with("{\"error\":\"internal error: answer exploded\"}\n"), "{boom}");
+        let next = answers.next().unwrap();
+        assert!(
+            next.starts_with("HTTP/1.1 200 OK\r\n") && next.ends_with("\r\n\r\nok\n"),
+            "{next}"
+        );
+        assert_eq!(ctx.server.queued.load(Ordering::Relaxed), 0);
+        assert_eq!(ctx.server.busy.load(Ordering::Relaxed), 0);
     }
 }

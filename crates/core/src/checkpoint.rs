@@ -171,7 +171,7 @@ impl AnyDetector {
     }
 }
 
-/// An [`AnyDetector`] feeds anywhere a detector does — pipelines,
+/// An [`AnyDetector`] feeds anywhere a detector does — `bed build`,
 /// [`crate::wal::WalSink`] — with ingest routed per its layout and mode.
 impl EventSink for AnyDetector {
     fn ingest(&mut self, event: EventId, ts: Timestamp) -> Result<(), BedError> {

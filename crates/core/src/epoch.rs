@@ -462,7 +462,7 @@ pub struct EpochView<'a> {
     reader: RefCell<EpochReader<Vec<BurstDetector>>>,
     /// Per-view working memory — one warm scratch per reader thread keeps
     /// the fused kernels allocation-free (interior mutability keeps the
-    /// query surface `&self`, like [`crate::BurstMonitor`]).
+    /// query surface `&self`).
     scratch: RefCell<QueryScratch>,
     /// `(generation, watermark)` of the epoch that answered last.
     answered: Cell<(u64, Watermark)>,

@@ -68,9 +68,6 @@
 //!   (hierarchical mode)
 //! * `shard.batch.{count,elements,latency_ns}`, `shard.count`, and per-shard
 //!   `shard.<i>.{arrivals,bytes}` gauges on a [`ShardedDetector`]
-//! * `pipeline.flush.{count,elements,latency_ns}` plus
-//!   `pipeline.{messages,unmapped,pending}` gauges on a
-//!   [`MessagePipeline`]
 //! * `epoch.published` / `epoch.reader_retries` counters,
 //!   `epoch.publish.latency_ns`, and the `epoch.generation` gauge on a
 //!   [`DetectorEpochs`], whose `staleness` adds the `epoch.age_ticks` and
@@ -106,7 +103,6 @@ pub mod detector;
 pub mod epoch;
 pub mod error;
 mod metrics;
-pub mod monitor;
 pub mod observe;
 pub mod pipeline;
 pub mod query;
@@ -122,9 +118,8 @@ pub use config::{DetectorConfig, PbeVariant};
 pub use detector::{BurstDetector, BurstDetectorBuilder};
 pub use epoch::{DetectorEpochs, Epoch, EpochPublisher, EpochReader, EpochView, SnapshotCell};
 pub use error::BedError;
-pub use monitor::BurstMonitor;
 pub use observe::Traceable;
-pub use pipeline::{EventSink, MessagePipeline};
+pub use pipeline::EventSink;
 pub use query::{BurstQueries, QueryRequest, QueryResponse, QueryStrategy};
 pub use shard::{ShardedDetector, ShardedDetectorBuilder};
 pub use wal::{read_wal, WalContents, WalSink, WalWriter};

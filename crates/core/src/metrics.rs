@@ -418,34 +418,3 @@ impl WalMetrics {
         ])
     }
 }
-
-/// Metrics of a [`crate::MessagePipeline`]: flush batching and latency.
-#[derive(Debug, Default)]
-pub(crate) struct PipelineMetrics {
-    flushes: Counter,
-    flushed_elements: Counter,
-    flush_latency: Histogram,
-}
-
-impl PipelineMetrics {
-    /// Starts timing one flush of `len` released elements.
-    pub(crate) fn flush_begin(&self, len: usize) -> Instant {
-        self.flushes.inc();
-        self.flushed_elements.add(len as u64);
-        Instant::now()
-    }
-
-    pub(crate) fn flush_end(&self, started: Instant) {
-        self.flush_latency.observe(started.elapsed());
-    }
-
-    /// The flush families plus `computed`, the pipeline's stage readings.
-    pub(crate) fn snapshot(&self, computed: impl IntoIterator<Item = Entry>) -> MetricsSnapshot {
-        let flushes = [
-            counter("pipeline.flush.count", &self.flushes),
-            counter("pipeline.flush.elements", &self.flushed_elements),
-            histogram("pipeline.flush.latency_ns", &self.flush_latency),
-        ];
-        MetricsSnapshot::from_entries(flushes.into_iter().chain(computed))
-    }
-}

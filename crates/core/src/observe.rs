@@ -1,11 +1,11 @@
 //! Tracer wiring across the detector stack.
 //!
 //! Every component on the request path — detectors, the sharded facade,
-//! the monitor, the pipeline, the WAL sink, the checkpointer — holds an
-//! `Arc<Tracer>` that defaults to [`Tracer::disabled`] (one relaxed load
-//! per would-be span, zero allocation). [`Traceable`] is the uniform
-//! installation surface: hand one enabled tracer to the outermost
-//! component and it propagates to whatever it wraps.
+//! the WAL sink, the checkpointer — holds an `Arc<Tracer>` that defaults
+//! to [`Tracer::disabled`] (one relaxed load per would-be span, zero
+//! allocation). [`Traceable`] is the uniform installation surface: hand
+//! one enabled tracer to the outermost component and it propagates to
+//! whatever it wraps.
 //!
 //! Span taxonomy (names live in `bed-obs`'s closed table):
 //!
@@ -13,7 +13,7 @@
 //!   children `stage.cell_probe`, `stage.median_combine`,
 //!   `stage.hierarchy_prune` (on a sharded layout the root itself spans
 //!   the fan-out over every shard);
-//! - sampled roots `pipeline.flush` and `wal.append`;
+//! - the sampled root `wal.append`;
 //! - unsampled roots `checkpoint.save` / `checkpoint.recover` (rare and
 //!   heavyweight, so the sampler is bypassed).
 //!

@@ -3,8 +3,8 @@
 //!
 //! The paper defines three historical query types (point, bursty-time,
 //! bursty-event); the detectors grew two derived ones (series, top-k) plus a
-//! pruned/exact split — enough surface that every front-end (CLI, monitor,
-//! pipeline, a future server) was special-casing the two detector types.
+//! pruned/exact split — enough surface that every front-end (the CLI, the
+//! server) was special-casing the two detector types.
 //! [`QueryRequest`] names the five canonical kinds once, [`BurstQueries`]
 //! routes them, and [`QueryStrategy`] makes the hierarchy trade-off an
 //! explicit argument instead of three differently-named methods.

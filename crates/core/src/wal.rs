@@ -207,9 +207,8 @@ pub fn read_wal(path: impl AsRef<Path>) -> Result<WalContents, RecoveryError> {
 /// wrapped detector — the WAL-before-ingest ordering invariant, packaged.
 ///
 /// Works with any sink that is also [`Checkpointable`] (both detector
-/// layouts and [`crate::checkpoint::AnyDetector`]), so a
-/// [`crate::MessagePipeline`] or an ingest loop can be made durable by
-/// wrapping its detector:
+/// layouts and [`crate::checkpoint::AnyDetector`]), so an ingest loop can
+/// be made durable by wrapping its detector:
 ///
 /// ```no_run
 /// use bed_core::wal::WalSink;

@@ -236,71 +236,3 @@ proptest! {
         prop_assert_eq!(batched.arrivals(), serial.arrivals());
     }
 }
-
-/// Out-of-order ingestion through [`bed_core::MessagePipeline`]: a sharded
-/// sink behind the reorder buffer matches an unsharded detector fed the
-/// same stream pre-sorted. Deterministic disorder, deterministic result —
-/// plain #[test], no proptest needed.
-#[test]
-fn pipeline_disorder_is_shard_invariant() {
-    use bed_core::MessagePipeline;
-    use bed_stream::{HashtagMapper, Message};
-
-    let tags = ["quake", "flood", "match", "vote"];
-    let mut x = 0xD15C0u64;
-    let mut messages = Vec::new();
-    for i in 0..600u64 {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let jitter = x % 16; // within the lateness window below
-        let tag = tags[(x >> 8) as usize % tags.len()];
-        messages.push((format!("#{tag}"), i * 2 + jitter));
-    }
-
-    let sharded_sink = BurstDetector::builder()
-        .universe(UNIVERSE)
-        .variant(PbeVariant::pbe2(2.0))
-        .seed(11)
-        .shards(4)
-        .build()
-        .unwrap();
-    let mut pipe = MessagePipeline::new(sharded_sink, HashtagMapper::new(UNIVERSE), 20);
-    for (text, t) in &messages {
-        pipe.offer(Message::new(text.as_str(), *t)).unwrap();
-    }
-    let sharded = pipe.finish().unwrap();
-
-    // Reference: same elements, globally sorted, into one plain detector.
-    let mapper = HashtagMapper::new(UNIVERSE);
-    let mut els: Vec<(EventId, Timestamp)> = messages
-        .iter()
-        .map(|(text, t)| (mapper.event_for_tag(&text[1..]), Timestamp(*t)))
-        .collect();
-    els.sort_by_key(|&(_, t)| t);
-    let mut plain = BurstDetector::builder()
-        .universe(UNIVERSE)
-        .variant(PbeVariant::pbe2(2.0))
-        .seed(11)
-        .build()
-        .unwrap();
-    for &(e, t) in &els {
-        plain.ingest(e, t).unwrap();
-    }
-    plain.finalize();
-
-    assert_eq!(sharded.arrivals(), plain.arrivals());
-    let tau = BurstSpan::new(30).unwrap();
-    for tag in tags {
-        let e = mapper.event_for_tag(tag);
-        let mut t = 0u64;
-        while t <= 1_300 {
-            assert_eq!(
-                sharded.point_query(e, Timestamp(t), tau).to_bits(),
-                plain.point_query(e, Timestamp(t), tau).to_bits(),
-                "pipeline divergence for #{tag} at t={t}"
-            );
-            t += 53;
-        }
-    }
-}

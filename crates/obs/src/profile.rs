@@ -41,7 +41,7 @@ pub struct StageSpec {
 
 /// The default stage table covering every timed subsystem of the detector
 /// serving stack: ingest, WAL fsync, tiered-cell compaction, epoch
-/// publish, the five query kinds, and pipeline flushes.
+/// publish, and the five query kinds.
 pub fn default_stage_specs() -> Vec<StageSpec> {
     vec![
         // bed-core times 1-in-64 ingests (INGEST_SAMPLE_EVERY).
@@ -62,7 +62,6 @@ pub fn default_stage_specs() -> Vec<StageSpec> {
         },
         StageSpec { label: "query_series", metric: "query.series.latency_ns", scale: 1 },
         StageSpec { label: "query_top_k", metric: "query.top_k.latency_ns", scale: 1 },
-        StageSpec { label: "pipeline_flush", metric: "pipeline.flush.latency_ns", scale: 1 },
     ]
 }
 

@@ -19,7 +19,7 @@ use crate::MetricValue;
 
 /// Closed table of span names. Keeping names as indices into a static
 /// table means the ring buffer never stores or clones strings.
-static SPAN_NAMES: [&str; 14] = [
+static SPAN_NAMES: [&str; 13] = [
     "query.point",
     "query.bursty_times",
     "query.bursty_events",
@@ -28,7 +28,6 @@ static SPAN_NAMES: [&str; 14] = [
     "stage.cell_probe",
     "stage.median_combine",
     "stage.hierarchy_prune",
-    "pipeline.flush",
     "wal.append",
     "checkpoint.save",
     "checkpoint.recover",
@@ -60,16 +59,14 @@ impl SpanName {
     pub const STAGE_MEDIAN_COMBINE: SpanName = SpanName(6);
     /// Child stage: dyadic pruned search over the hierarchy.
     pub const STAGE_HIERARCHY_PRUNE: SpanName = SpanName(7);
-    /// Root span for a pipeline batch flush.
-    pub const PIPELINE_FLUSH: SpanName = SpanName(8);
     /// Root span for a WAL append + fsync.
-    pub const WAL_APPEND: SpanName = SpanName(9);
+    pub const WAL_APPEND: SpanName = SpanName(8);
     /// Root span for a checkpoint save.
-    pub const CHECKPOINT_SAVE: SpanName = SpanName(10);
+    pub const CHECKPOINT_SAVE: SpanName = SpanName(9);
     /// Root span for snapshot + WAL recovery.
-    pub const CHECKPOINT_RECOVER: SpanName = SpanName(11);
+    pub const CHECKPOINT_RECOVER: SpanName = SpanName(10);
     /// Root span for publishing one epoch snapshot to concurrent readers.
-    pub const EPOCH_PUBLISH: SpanName = SpanName(12);
+    pub const EPOCH_PUBLISH: SpanName = SpanName(11);
 
     /// The string form of this span name.
     pub fn as_str(self) -> &'static str {
@@ -724,6 +721,32 @@ mod tests {
             slow_capacity: 4,
             dump_slow_on_drop: false,
         })
+    }
+
+    /// Every constant reads back its own name, directly and through the
+    /// ring's index decoding, so dropping a table entry cannot rename the
+    /// spans after it.
+    #[test]
+    fn span_constants_keep_their_names() {
+        let pinned = [
+            (SpanName::QUERY_POINT, "query.point"),
+            (SpanName::QUERY_BURSTY_TIMES, "query.bursty_times"),
+            (SpanName::QUERY_BURSTY_EVENTS, "query.bursty_events"),
+            (SpanName::QUERY_SERIES, "query.series"),
+            (SpanName::QUERY_TOP_K, "query.top_k"),
+            (SpanName::STAGE_CELL_PROBE, "stage.cell_probe"),
+            (SpanName::STAGE_MEDIAN_COMBINE, "stage.median_combine"),
+            (SpanName::STAGE_HIERARCHY_PRUNE, "stage.hierarchy_prune"),
+            (SpanName::WAL_APPEND, "wal.append"),
+            (SpanName::CHECKPOINT_SAVE, "checkpoint.save"),
+            (SpanName::CHECKPOINT_RECOVER, "checkpoint.recover"),
+            (SpanName::EPOCH_PUBLISH, "epoch.publish"),
+        ];
+        for (span, name) in pinned {
+            assert_eq!(span.as_str(), name);
+            assert_eq!(SpanName::from_index(span.0 as u64), span);
+        }
+        assert_eq!(SPAN_NAMES.len(), pinned.len() + 1, "one constant per name, plus span.unknown");
     }
 
     #[test]

@@ -110,11 +110,6 @@ impl Pbe1 {
         })
     }
 
-    /// Convenience constructor with the paper's default buffer size.
-    pub fn with_eta(eta: usize) -> Result<Self, StreamError> {
-        Pbe1::new(Pbe1Config { eta, ..Pbe1Config::default() })
-    }
-
     /// Offline mode (Section III-A, last paragraph): one optimal DP over an
     /// archived curve, no buffering artifacts.
     pub fn offline(curve: &FrequencyCurve, eta: usize) -> Result<Self, StreamError> {

@@ -1,13 +1,11 @@
-//! Stream elements, raw messages, and the message→event mapping `h`.
+//! Stream elements.
 //!
 //! The paper's input is an information stream of timestamped text messages
 //! `M = {(m_i, t_i)}`; a black-box function `h` maps each message to one or
 //! more event identifiers, producing the event stream `S`. The mapping itself
 //! is declared an orthogonal problem ("we consider it as a black box",
-//! Section II-A), so we supply a simple deterministic reference
-//! implementation — hashtag extraction plus a stable hash into `[0, K)` —
-//! behind the [`EventMapper`] trait, which downstream users replace with
-//! their own classifier or topic model.
+//! Section II-A), so `h` is left to the caller: this crate starts from the
+//! elements of `S`.
 
 use crate::event::EventId;
 use crate::time::Timestamp;
@@ -26,171 +24,5 @@ impl StreamElement {
     #[inline]
     pub fn new(event: impl Into<EventId>, ts: impl Into<Timestamp>) -> Self {
         StreamElement { event: event.into(), ts: ts.into() }
-    }
-}
-
-/// A raw timestamped message `(m_i, t_i)` prior to event mapping.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Message {
-    /// Message text (tweet, microblog post, ...).
-    pub text: String,
-    /// Arrival timestamp.
-    pub ts: Timestamp,
-}
-
-impl Message {
-    /// Convenience constructor.
-    pub fn new(text: impl Into<String>, ts: impl Into<Timestamp>) -> Self {
-        Message { text: text.into(), ts: ts.into() }
-    }
-}
-
-/// The black-box map `h : m_i → {event ids}` of Section II-A.
-///
-/// A message may discuss several events, in which case one
-/// `(event id, t_i)` pair per event is appended to the event stream.
-pub trait EventMapper {
-    /// Maps a message to zero or more event ids, appending stream elements
-    /// to `out`. Appending (rather than returning a `Vec`) lets hot ingest
-    /// paths reuse one buffer.
-    fn map_into(&self, message: &Message, out: &mut Vec<StreamElement>);
-
-    /// Convenience wrapper returning a fresh vector.
-    fn map(&self, message: &Message) -> Vec<StreamElement> {
-        let mut out = Vec::new();
-        self.map_into(message, &mut out);
-        out
-    }
-}
-
-/// Reference [`EventMapper`]: extracts `#hashtags` and hashes each into
-/// `[0, K)` with a stable FNV-1a hash, so the same tag always maps to the
-/// same event id across runs and machines.
-///
-/// Messages without hashtags map to no event (they are dropped), mirroring
-/// how the paper's datasets were built from hashtag/keyword classification.
-#[derive(Debug, Clone)]
-pub struct HashtagMapper {
-    universe_size: u32,
-}
-
-impl HashtagMapper {
-    /// Creates a mapper targeting a universe of `universe_size` events.
-    pub fn new(universe_size: u32) -> Self {
-        assert!(universe_size > 0, "universe must be non-empty");
-        HashtagMapper { universe_size }
-    }
-
-    /// Stable 64-bit FNV-1a over a lower-cased tag.
-    fn fnv1a(tag: &str) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = OFFSET;
-        for b in tag.bytes() {
-            let b = b.to_ascii_lowercase();
-            h ^= b as u64;
-            h = h.wrapping_mul(PRIME);
-        }
-        h
-    }
-
-    /// The event id a single tag maps to.
-    pub fn event_for_tag(&self, tag: &str) -> EventId {
-        EventId((Self::fnv1a(tag) % self.universe_size as u64) as u32)
-    }
-
-    /// Extracts hashtags (`#` followed by alphanumerics/underscores) from a
-    /// message text.
-    pub fn hashtags(text: &str) -> impl Iterator<Item = &str> {
-        text.split(|c: char| c.is_whitespace()).filter_map(|word| {
-            let tag = word.strip_prefix('#')?;
-            let end = tag
-                .char_indices()
-                .find(|(_, c)| !(c.is_alphanumeric() || *c == '_'))
-                .map(|(i, _)| i)
-                .unwrap_or(tag.len());
-            if end == 0 {
-                None
-            } else {
-                Some(&tag[..end])
-            }
-        })
-    }
-}
-
-impl EventMapper for HashtagMapper {
-    fn map_into(&self, message: &Message, out: &mut Vec<StreamElement>) {
-        let before = out.len();
-        for tag in Self::hashtags(&message.text) {
-            let event = self.event_for_tag(tag);
-            // A message mentioning the same event twice contributes one
-            // element per *distinct* event, matching the paper's "add
-            // multiple pairs, one for each identified event id".
-            if !out[before..].iter().any(|el| el.event == event) {
-                out.push(StreamElement { event, ts: message.ts });
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn hashtag_extraction() {
-        let tags: Vec<&str> =
-            HashtagMapper::hashtags("LBC homeboy stoked #brasil #gold #Olympics2016!").collect();
-        assert_eq!(tags, vec!["brasil", "gold", "Olympics2016"]);
-    }
-
-    #[test]
-    fn hashtag_extraction_ignores_bare_hash_and_punctuation() {
-        let tags: Vec<&str> = HashtagMapper::hashtags("# #a-b #_x ##double").collect();
-        // "#" alone → none; "#a-b" → "a"; "#_x" → "_x"; "##double" → strip one
-        // '#' then the leading '#' is not alphanumeric → none.
-        assert_eq!(tags, vec!["a", "_x"]);
-    }
-
-    #[test]
-    fn mapping_is_stable_and_case_insensitive() {
-        let m = HashtagMapper::new(864);
-        assert_eq!(m.event_for_tag("Brasil"), m.event_for_tag("brasil"));
-        assert_eq!(m.event_for_tag("gold"), m.event_for_tag("gold"));
-        assert!(m.event_for_tag("gold").value() < 864);
-    }
-
-    #[test]
-    fn message_with_multiple_events_emits_multiple_elements() {
-        let mapper = HashtagMapper::new(1 << 20); // big universe: no collisions expected
-        let msg = Message::new("#soccer final! also #olympics", 42u64);
-        let els = mapper.map(&msg);
-        assert_eq!(els.len(), 2);
-        assert!(els.iter().all(|el| el.ts == Timestamp(42)));
-        assert_ne!(els[0].event, els[1].event);
-    }
-
-    #[test]
-    fn duplicate_tags_in_one_message_collapse() {
-        let mapper = HashtagMapper::new(1 << 20);
-        let msg = Message::new("#gold #gold #GOLD", 7u64);
-        assert_eq!(mapper.map(&msg).len(), 1);
-    }
-
-    #[test]
-    fn message_without_tags_maps_to_nothing() {
-        let mapper = HashtagMapper::new(64);
-        assert!(mapper.map(&Message::new("no tags here", 1u64)).is_empty());
-    }
-
-    #[test]
-    fn map_into_reuses_buffer_across_messages() {
-        let mapper = HashtagMapper::new(1 << 20);
-        let mut buf = Vec::new();
-        mapper.map_into(&Message::new("#a", 1u64), &mut buf);
-        mapper.map_into(&Message::new("#a", 2u64), &mut buf);
-        // Same tag in a *different* message must not be deduplicated.
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf[0].event, buf[1].event);
     }
 }

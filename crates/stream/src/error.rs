@@ -26,9 +26,6 @@ pub enum StreamError {
         /// Timestamp of the rejected element.
         offered: Timestamp,
     },
-    /// An operation that needs at least one element was invoked on an empty
-    /// stream.
-    EmptyStream,
     /// An event id fell outside the configured universe `[0, K)`.
     EventOutOfUniverse {
         /// Offending event id value.
@@ -66,7 +63,6 @@ impl fmt::Display for StreamError {
             StreamError::NonMonotonicTimestamp { previous, offered } => {
                 write!(f, "non-monotonic timestamp: {offered} arrived after {previous}")
             }
-            StreamError::EmptyStream => write!(f, "operation requires a non-empty stream"),
             StreamError::EventOutOfUniverse { event, universe } => {
                 write!(f, "event id {event} outside universe [0, {universe})")
             }

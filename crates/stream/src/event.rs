@@ -1,8 +1,6 @@
-//! Event identifiers and the event universe Σ.
+//! Event identifiers `a_i ∈ Σ`.
 
 use std::fmt;
-
-use crate::error::StreamError;
 
 /// An event identifier `a_i ∈ [0, K)`.
 ///
@@ -34,103 +32,5 @@ impl From<u32> for EventId {
 impl fmt::Display for EventId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "e{}", self.0)
-    }
-}
-
-/// The universal event space Σ with `K = |Σ|` distinct identifiers.
-///
-/// Carries optional human-readable labels (hashtags, topic names) so that
-/// examples and experiment output can print something meaningful.
-#[derive(Debug, Clone)]
-pub struct EventUniverse {
-    size: u32,
-    labels: Vec<Option<String>>,
-}
-
-impl EventUniverse {
-    /// Creates a universe of `size` events with no labels.
-    pub fn new(size: u32) -> Self {
-        EventUniverse { size, labels: vec![None; size as usize] }
-    }
-
-    /// Creates a universe from a list of labels (K = labels.len()).
-    pub fn with_labels<I, S>(labels: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        let labels: Vec<Option<String>> = labels.into_iter().map(|s| Some(s.into())).collect();
-        EventUniverse { size: labels.len() as u32, labels }
-    }
-
-    /// Number of events K.
-    #[inline]
-    pub fn size(&self) -> u32 {
-        self.size
-    }
-
-    /// Validates that `event` belongs to this universe.
-    pub fn check(&self, event: EventId) -> Result<EventId, StreamError> {
-        if event.0 < self.size {
-            Ok(event)
-        } else {
-            Err(StreamError::EventOutOfUniverse { event: event.0, universe: self.size })
-        }
-    }
-
-    /// Label for an event, if one was registered.
-    pub fn label(&self, event: EventId) -> Option<&str> {
-        self.labels.get(event.index()).and_then(|l| l.as_deref())
-    }
-
-    /// Registers (or replaces) a label.
-    pub fn set_label(
-        &mut self,
-        event: EventId,
-        label: impl Into<String>,
-    ) -> Result<(), StreamError> {
-        self.check(event)?;
-        self.labels[event.index()] = Some(label.into());
-        Ok(())
-    }
-
-    /// Iterates over all event ids in the universe.
-    pub fn iter(&self) -> impl Iterator<Item = EventId> + '_ {
-        (0..self.size).map(EventId)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn universe_bounds_checking() {
-        let u = EventUniverse::new(4);
-        assert_eq!(u.size(), 4);
-        assert!(u.check(EventId(3)).is_ok());
-        assert!(matches!(
-            u.check(EventId(4)),
-            Err(StreamError::EventOutOfUniverse { event: 4, universe: 4 })
-        ));
-    }
-
-    #[test]
-    fn labels_roundtrip() {
-        let mut u = EventUniverse::with_labels(["soccer", "swimming"]);
-        assert_eq!(u.size(), 2);
-        assert_eq!(u.label(EventId(0)), Some("soccer"));
-        assert_eq!(u.label(EventId(1)), Some("swimming"));
-        u.set_label(EventId(1), "natation").unwrap();
-        assert_eq!(u.label(EventId(1)), Some("natation"));
-        assert!(u.set_label(EventId(7), "nope").is_err());
-        assert_eq!(u.label(EventId(9)), None);
-    }
-
-    #[test]
-    fn iter_covers_universe() {
-        let u = EventUniverse::new(3);
-        let ids: Vec<u32> = u.iter().map(|e| e.value()).collect();
-        assert_eq!(ids, vec![0, 1, 2]);
     }
 }

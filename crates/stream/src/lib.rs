@@ -7,9 +7,9 @@
 //! * [`Timestamp`], [`TimeRange`] and [`BurstSpan`] — the discrete time domain
 //!   and the burst span parameter τ.
 //! * [`EventId`] and [`StreamElement`] — the event identifier space Σ and the
-//!   elements of an event stream `S = {(a_i, t_i)}`.
-//! * [`Message`] and [`EventMapper`] — the paper's black-box map `h` from raw
-//!   text messages to one or more event identifiers.
+//!   elements of an event stream `S = {(a_i, t_i)}`. The paper's black-box
+//!   map `h` from raw text messages to event ids is left to the caller: the
+//!   workspace starts from the mapped, time-ordered stream `S`.
 //! * [`SingleEventStream`] and [`EventStream`] — ordered streams of
 //!   timestamps / (id, timestamp) pairs with temporal substream extraction.
 //! * [`FrequencyCurve`] — the exact cumulative frequency staircase `F(t)`
@@ -31,14 +31,13 @@ pub mod element;
 pub mod error;
 pub mod event;
 pub mod exact;
-pub mod reorder;
 pub mod stream;
 pub mod time;
 
 pub use codec::{Codec, CodecError};
 pub use crc::{crc32, Crc32};
 pub use curve::FrequencyCurve;
-pub use element::{EventMapper, HashtagMapper, Message, StreamElement};
+pub use element::StreamElement;
 pub use error::StreamError;
 pub use event::EventId;
 pub use exact::ExactBaseline;

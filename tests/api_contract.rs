@@ -1318,21 +1318,6 @@ fn metric_families_are_golden() {
     actual += &format!("== checkpoint\n{}", family_lines(&ckpt.metrics()));
     std::fs::remove_dir_all(&dir).unwrap();
 
-    let det = BurstDetector::builder().universe(64).build().unwrap();
-    let mut pipe = bed::MessagePipeline::new(det, bed::stream::HashtagMapper::new(64), 30);
-    for i in 0..200u64 {
-        let text = match i % 4 {
-            0 => "#soccer kickoff",
-            1 => "#soccer #brasil",
-            2 => "no tags here",
-            _ => "#swimming",
-        };
-        // Every fifth message arrives slightly late.
-        let ts = if i % 5 == 4 { i * 10 - 15 } else { i * 10 };
-        pipe.offer(bed::stream::Message::new(text, ts)).unwrap();
-    }
-    actual += &format!("== pipeline\n{}", family_lines(&pipe.metrics()));
-
     assert_eq!(actual, METRIC_FAMILIES_GOLDEN, "actual families:\n{actual}");
 }
 
@@ -1641,44 +1626,4 @@ recovery.fallbacks counter 0
 recovery.latency_ns histogram 1
 recovery.replayed counter 40
 recovery.torn_tails counter 0
-== pipeline
-detector.arrivals gauge 195
-finalize.latency_ns histogram 0
-ingest.count counter 195
-ingest.errors counter 0
-ingest.latency_ns histogram 4
-pipeline.flush.count counter 88
-pipeline.flush.elements counter 195
-pipeline.flush.latency_ns histogram 88
-pipeline.messages gauge 200
-pipeline.pending gauge 5
-pipeline.unmapped gauge 50
-query.bursty_events.count counter 0
-query.bursty_events.latency_ns histogram 0
-query.bursty_times.count counter 0
-query.bursty_times.latency_ns histogram 0
-query.errors counter 0
-query.point.count counter 0
-query.point.latency_ns histogram 0
-query.series.count counter 0
-query.series.latency_ns histogram 0
-query.stats.leaves_probed counter 0
-query.stats.point_queries counter 0
-query.stats.pruned_subtrees counter 0
-query.top_k.count counter 0
-query.top_k.latency_ns histogram 0
-retention.compact.latency_ns histogram 0
-structure.bytes gauge 432
-structure.cmpbe.buffered gauge 13
-structure.cmpbe.depth gauge 1
-structure.cmpbe.fill_ratio gauge 0.046875
-structure.cmpbe.heaviest_cell_arrivals gauge 98
-structure.cmpbe.occupied_cells gauge 3
-structure.cmpbe.pieces gauge 3
-structure.cmpbe.width gauge 64
-structure.forest.buffered gauge 78
-structure.forest.levels gauge 7
-structure.forest.nodes gauge 127
-structure.forest.occupied_nodes gauge 18
-structure.forest.pieces gauge 18
 ";

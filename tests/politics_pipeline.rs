@@ -1,10 +1,13 @@
 //! Full-system integration on the uspolitics-like workload: generator →
-//! detector → national-moment detection, monitor semantics, and
-//! crafted-bytes decode hardening.
+//! detector → national-moment detection, "what is bursting now" at the
+//! stream head, and crafted-bytes decode hardening.
 
 use bed::stream::Codec;
 use bed::workload::politics::{self, Party, PoliticsConfig};
-use bed::{BurstDetector, BurstMonitor, BurstSpan, PbeVariant, QueryStrategy, Timestamp};
+use bed::{
+    BurstDetector, BurstQueries, BurstSpan, PbeVariant, QueryRequest, QueryResponse, QueryStrategy,
+    Timestamp,
+};
 
 fn build_politics() -> (BurstDetector, politics::PoliticsStream) {
     let data = politics::generate(PoliticsConfig { total_elements: 120_000, skew: 1.0, seed: 6 });
@@ -77,20 +80,31 @@ fn series_api_recovers_the_campaign_shape() {
 #[test]
 fn monitor_over_politics_prefix() {
     let data = politics::generate(PoliticsConfig { total_elements: 60_000, skew: 1.0, seed: 6 });
-    let det = BurstDetector::builder()
+    let mut det = BurstDetector::builder()
         .universe(data.universe)
         .variant(PbeVariant::pbe2(4.0))
         .accuracy(0.005, 0.02)
         .seed(11)
         .build()
         .unwrap();
-    let mut mon = BurstMonitor::new(det, BurstSpan::DAY_SECONDS);
-    // ingest up to just past the RNC
+    // ingest up to just past the RNC, and leave the detector un-finalized:
+    // the stream is still live
     let cutoff = Timestamp(49 * 86_400);
     for el in data.stream.iter().filter(|el| el.ts <= cutoff) {
-        mon.ingest(el.event, el.ts).unwrap();
+        det.ingest(el.event, el.ts).unwrap();
     }
-    let top = mon.top_k_now(5, 10.0).unwrap();
+    // "what is bursting now" is a bursty-event query at the latest
+    // ingested timestamp
+    let request = QueryRequest::BurstyEvents {
+        t: det.last_timestamp().expect("the prefix is not empty"),
+        theta: 10.0,
+        tau: BurstSpan::DAY_SECONDS,
+        strategy: QueryStrategy::Pruned,
+    };
+    let QueryResponse::BurstyEvents { hits: mut top, .. } = det.query(&request).unwrap() else {
+        panic!("a bursty-event request gets a bursty-event answer")
+    };
+    top.truncate(5);
     assert!(!top.is_empty(), "the convention should be bursting 'now'");
     // the top burster 'now' leans Republican
     assert_eq!(data.party_of(top[0].event), Party::Republican, "{top:?}");
