@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 
 use bed_bench::{data, env_scale};
-use bed_core::{BurstDetector, PbeVariant, QueryStrategy};
+use bed_core::{BurstDetector, BurstQueries, PbeVariant, QueryRequest, QueryStrategy};
 use bed_sketch::SketchParams;
 use bed_stream::{BurstSpan, Timestamp};
 use bed_workload::politics::{Party, POLITICS_HORIZON_SECS, POLITICS_UNIVERSE};
@@ -41,11 +41,10 @@ fn main() -> std::io::Result<()> {
     let mut rep_series = Vec::new();
     for d in 1..days {
         let t = Timestamp(d * 86_400 + 43_200);
-        let (hits, _) = det
-            .bursty_events_with(t, theta, tau, QueryStrategy::Pruned)
-            .expect("theta is positive and finite");
+        let request = QueryRequest::BurstyEvents { t, theta, tau, strategy: QueryStrategy::Pruned };
+        let answer = det.query(&request).expect("theta is positive and finite");
         let (mut dem, mut rep) = (0.0, 0.0);
-        for h in &hits {
+        for h in answer.hits().expect("a BurstyEvents request gets hits") {
             match s.party_of(h.event) {
                 Party::Democrat => dem += h.burstiness,
                 Party::Republican => rep += h.burstiness,

@@ -35,9 +35,12 @@
 //! sampled spans and latency-histogram exemplars; `?explain=1` adds a
 //! per-stage timing breakdown of how the answer was served.
 //!
-//! While the responder runs, a background thread drains the input TSV
-//! stream into the detector, publishing an epoch every `--publish-every`
-//! arrivals (plus a final publish once the stream is drained). The epoch
+//! Before binding, the whole input TSV is checked with the one admission
+//! rule ([`bed_core::check_batch`]), so `serve` refuses exactly the input
+//! `bed build` refuses, with the same message. While the responder runs, a
+//! background thread drains the stream into the detector, publishing an
+//! epoch every `--publish-every` arrivals (plus a final publish once the
+//! stream is drained). The epoch
 //! views count, time, and trace every `/query` they answer, so the query
 //! families on `/metrics`, `/trace`, and `/slow` describe served traffic.
 //!
@@ -88,10 +91,10 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 use bed_core::{
-    AnyDetector, BurstQueries as _, BurstSpan, CheckpointPolicy, DetectorEpochs, EpochPublisher,
-    EpochReader, EventId, MetricValue, MetricsSnapshot, Profiler, QueryRequest, QueryResponse,
-    QueryScratch, QueryStrategy, SnapshotCell, TimeRange, Timestamp, TraceId, Traceable as _,
-    Tracer, TracerConfig, Watermark,
+    check_batch, AnyDetector, BurstQueries as _, BurstSpan, CheckpointPolicy, DetectorEpochs,
+    EpochPublisher, EpochReader, EventId, MetricValue, MetricsSnapshot, Profiler, QueryRequest,
+    QueryResponse, QueryScratch, QueryStrategy, SnapshotCell, TimeRange, Timestamp, TraceId,
+    Traceable as _, Tracer, TracerConfig, Watermark,
 };
 use bed_obs::Counter;
 
@@ -349,6 +352,7 @@ fn serve_until(
     let els = read_elements(input)?;
     let total = els.len();
     let mut det = detector_from_flags(flags)?;
+    check_batch(det.config().universe, None, &els)?;
     let ctx = ServeCtx::new(&mut det, opts);
 
     let listener = TcpListener::bind(&opts.addr)?;
@@ -526,7 +530,7 @@ fn ingest_loop(
             break;
         }
         for &(event, ts) in chunk {
-            let _ = det.ingest(event, ts);
+            det.ingest(event, ts).expect("the input was admitted before binding");
         }
         if publisher.maybe_publish(&det, &ctx.epochs) {
             ctx.publish_metrics(&det);
@@ -1402,6 +1406,35 @@ mod tests {
             let (head, _) = get(addr, "/healthz");
             assert!(head.starts_with("HTTP/1.1 200"), "{head}");
         });
+    }
+
+    #[test]
+    fn serve_refuses_the_input_build_refuses() {
+        let dir = std::env::temp_dir().join("bed-serve-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        // A late arrival (t15 after t20), then an id outside the universe
+        // of 8; without the late line, the id is the first refusal.
+        for (name, text, refusal) in [
+            ("serve-late.tsv", "0\t10\n1\t20\n2\t15\n9\t25\n3\t30\n", "t15 arrived after t20"),
+            ("serve-outside.tsv", "0\t10\n1\t20\n9\t25\n3\t30\n", "universe"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            let input = path.to_string_lossy().into_owned();
+            for shards in [1, 2] {
+                let mut det = detector_from_flags(&flags(shards)).unwrap();
+                let built =
+                    bed_core::EventSink::ingest_batch(&mut det, &read_elements(&input).unwrap())
+                        .unwrap_err();
+                let stop = AtomicBool::new(true);
+                let served = serve_until(&input, &flags(shards), &opts(8), &stop, |addr| {
+                    panic!("{name}: bound {addr} for input that build refuses")
+                })
+                .unwrap_err();
+                assert_eq!(served.to_string(), CliError::from(built).to_string(), "{name}");
+                assert!(served.to_string().contains(refusal), "{name}: {served}");
+            }
+        }
     }
 
     #[test]

@@ -496,7 +496,7 @@ impl SnapshotStore {
     }
 
     /// The in-flight temp path.
-    pub fn temp_path(&self) -> PathBuf {
+    fn temp_path(&self) -> PathBuf {
         append_ext(&self.path, "tmp")
     }
 
@@ -561,7 +561,7 @@ impl SnapshotStore {
 
     /// Whether any snapshot generation exists on disk (the in-flight temp
     /// file does not count — it is never read back).
-    pub fn any_generation_exists(&self) -> bool {
+    fn any_generation_exists(&self) -> bool {
         self.path.exists() || self.prev_path().exists()
     }
 }

@@ -72,9 +72,9 @@ pub struct DetectorConfig {
     /// (one PBE, no hashing).
     pub universe: Option<u32>,
     /// Maintain the dyadic hierarchy for bursty event queries. Costs
-    /// `O(log K)` extra CM-PBEs; required by
-    /// [`crate::BurstDetector::bursty_events_with`] under
-    /// [`crate::QueryStrategy::Pruned`].
+    /// `O(log K)` extra CM-PBEs; a [`crate::QueryRequest::BurstyEvents`]
+    /// under [`crate::QueryStrategy::Pruned`] searches it (a flat detector
+    /// scans instead).
     pub hierarchical: bool,
     /// Seed for all hash functions.
     pub seed: u64,

@@ -350,18 +350,13 @@ impl DetectorEpochs {
         r.epoch
     }
 
-    /// Watermark of the latest published epoch (`None` before genesis).
-    pub fn published_watermark(&self) -> Option<Watermark> {
-        self.latest().map(|e| e.watermark)
-    }
-
     /// The ingest-side staleness gauges against the live detector's
     /// watermark: `epoch.age_ticks` (ticks the live stream has advanced
     /// past the published epoch) and `epoch.lag_arrivals` (arrivals not
     /// yet visible to readers). Cold path — merge it into a scrape next to
     /// [`Self::metrics`]. Before genesis only the lag is defined.
     pub fn staleness(&self, live: Watermark) -> MetricsSnapshot {
-        let Some(published) = self.published_watermark() else {
+        let Some(published) = self.latest().map(|e| e.watermark) else {
             return MetricsSnapshot::from_entries([gauge(
                 "epoch.lag_arrivals",
                 live.arrivals as f64,

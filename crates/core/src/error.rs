@@ -17,9 +17,6 @@ pub enum BedError {
         /// What the detector was built for.
         built_for: &'static str,
     },
-    /// A bursty event query needs the dyadic hierarchy, which was disabled
-    /// at build time.
-    HierarchyDisabled,
     /// A sharded detector needs at least one shard.
     InvalidShardCount {
         /// The shard count requested.
@@ -40,9 +37,6 @@ impl fmt::Display for BedError {
             BedError::Stream(e) => write!(f, "{e}"),
             BedError::WrongMode { operation, built_for } => {
                 write!(f, "{operation} is unavailable: detector was built for {built_for}")
-            }
-            BedError::HierarchyDisabled => {
-                write!(f, "bursty event queries need .hierarchical(true) at build time")
             }
             BedError::InvalidShardCount { got } => {
                 write!(f, "shard count must be at least 1, got {got}")

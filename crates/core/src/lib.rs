@@ -4,7 +4,7 @@
 //! entry point:
 //!
 //! ```
-//! use bed_core::{BurstDetector, PbeVariant};
+//! use bed_core::{BurstDetector, BurstQueries, PbeVariant, QueryRequest, QueryStrategy};
 //! use bed_stream::{BurstSpan, EventId, Timestamp};
 //!
 //! // Summarise a mixed stream of 3 events with CM-PBE-2 + the dyadic
@@ -25,14 +25,22 @@
 //! }
 //! det.finalize();
 //!
+//! // POINT QUERY: how bursty was each event at t = 49?
 //! let tau = BurstSpan::new(10).unwrap();
-//! let b1 = det.point_query(EventId(1), Timestamp(49), tau);
-//! let b0 = det.point_query(EventId(0), Timestamp(49), tau);
+//! let point = |event| QueryRequest::Point { event, t: Timestamp(49), tau };
+//! let b1 = det.query(&point(EventId(1))).unwrap().burstiness().unwrap();
+//! let b0 = det.query(&point(EventId(0))).unwrap().burstiness().unwrap();
 //! assert!(b1 > 40.0 && b0.abs() < 5.0);
 //!
-//! let (hits, _) = det
-//!     .bursty_events_with(Timestamp(49), 40.0, tau, bed_core::QueryStrategy::Pruned)
-//!     .unwrap();
+//! // BURSTY EVENT QUERY: which events reached θ = 40 at t = 49?
+//! let events = QueryRequest::BurstyEvents {
+//!     t: Timestamp(49),
+//!     theta: 40.0,
+//!     tau,
+//!     strategy: QueryStrategy::Pruned,
+//! };
+//! let answer = det.query(&events).unwrap();
+//! let hits = answer.hits().unwrap();
 //! assert_eq!(hits.len(), 1);
 //! assert_eq!(hits[0].event, EventId(1));
 //! ```
@@ -42,7 +50,10 @@
 //! Both [`BurstDetector`] and [`ShardedDetector`] implement [`BurstQueries`]
 //! — one `query(&QueryRequest) -> Result<QueryResponse, BedError>` covering
 //! the five canonical query kinds, so front-ends can hold a
-//! `&dyn BurstQueries` and stay agnostic of the physical layout.
+//! `&dyn BurstQueries` and stay agnostic of the physical layout. It is the
+//! only way to ask a detector; the one inherent query left,
+//! [`BurstDetector::bursty_time_ranges`], answers the interval form of a
+//! bursty-time query, which has no [`QueryRequest`] kind.
 //!
 //! ## Observability
 //!
@@ -119,7 +130,7 @@ pub use detector::{BurstDetector, BurstDetectorBuilder};
 pub use epoch::{DetectorEpochs, Epoch, EpochPublisher, EpochReader, EpochView, SnapshotCell};
 pub use error::BedError;
 pub use observe::Traceable;
-pub use pipeline::EventSink;
+pub use pipeline::{check_batch, EventSink};
 pub use query::{BurstQueries, QueryRequest, QueryResponse, QueryStrategy};
 pub use shard::{ShardedDetector, ShardedDetectorBuilder};
 pub use wal::{read_wal, WalContents, WalSink, WalWriter};

@@ -38,10 +38,12 @@ pub trait EventSink {
 /// ids) and timestamps non-decreasing from `last`, the stream's latest
 /// accepted arrival. Returns the batch's last timestamp (`last` for an
 /// empty batch). A refused batch mutates nothing, so a caller can check
-/// before it logs ([`crate::WalSink`]) or fans out
-/// ([`ShardedDetector::ingest_batch`]).
+/// before it logs ([`crate::WalSink`]), fans out
+/// ([`ShardedDetector::ingest_batch`]) or serves a whole input it will
+/// ingest one arrival at a time. The error names the first refused
+/// arrival, as ingesting the batch would.
 #[inline]
-pub(crate) fn check_batch(
+pub fn check_batch(
     universe: Option<u32>,
     last: Option<Timestamp>,
     batch: &[(EventId, Timestamp)],

@@ -12,9 +12,9 @@
 //! Uniform fallibility: `query` validates up front and returns
 //! `Err(BedError)` for out-of-universe events, non-finite or non-positive
 //! thresholds (where positivity is required), inverted ranges, and a zero
-//! step — cases where the legacy inherent methods variously panicked,
-//! saturated, or silently answered. The legacy methods remain (documented
-//! saturation semantics, no panics) for callers that want raw `f64`s.
+//! step. It is the only way to ask a detector: the CLI, `bed serve`, the
+//! epoch readers and every test go through it, so validation lives in one
+//! place.
 //!
 //! ```
 //! use bed_core::{BurstDetector, BurstQueries, PbeVariant, QueryRequest, QueryResponse};
@@ -268,22 +268,22 @@ impl QueryResponse {
 ///   [`QueryStrategy::ExactScan`] (see the pruning caveat in
 ///   [`crate::shard`]).
 pub trait BurstQueries {
-    /// Answers one canonical query.
-    fn query(&self, request: &QueryRequest) -> Result<QueryResponse, BedError>;
+    /// Answers one canonical query. The default runs
+    /// [`query_reusing`](BurstQueries::query_reusing) with a fresh scratch.
+    fn query(&self, request: &QueryRequest) -> Result<QueryResponse, BedError> {
+        self.query_reusing(request, &mut bed_sketch::QueryScratch::new())
+    }
 
     /// Answers one canonical query, reusing the caller's
     /// [`QueryScratch`](bed_sketch::QueryScratch) for the kernels' working
     /// memory. Identical results to [`query`](BurstQueries::query) — a warm
     /// scratch only removes the per-query allocations on the batched
-    /// bursty-event and bursty-time paths. The default ignores the scratch.
+    /// bursty-event and bursty-time paths.
     fn query_reusing(
         &self,
         request: &QueryRequest,
         scratch: &mut bed_sketch::QueryScratch,
-    ) -> Result<QueryResponse, BedError> {
-        let _ = scratch;
-        self.query(request)
-    }
+    ) -> Result<QueryResponse, BedError>;
 
     /// Elements ingested so far.
     fn arrivals(&self) -> u64;

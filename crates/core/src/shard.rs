@@ -15,19 +15,23 @@
 //! guarantees of Lemmas 3–5 are preserved shard-locally and therefore
 //! globally.
 //!
-//! One caveat is inherited rather than introduced: the pruned dyadic
-//! bursty-event search ([`QueryStrategy::Pruned`]) skips a subtree when
-//! the Eq. 6 bound says no descendant can reach θ, and sign cancellation
-//! between siblings can mask a bursting event. Each shard prunes over
-//! *its own* forest, so the pruned hit set of a sharded detector may
-//! differ from the unsharded one's (both are subsets of the exact scan
-//! answer, and every reported hit is a true point-query hit).
-//! [`QueryStrategy::ExactScan`] is exact with respect to point queries
-//! and matches the unsharded scan set for set.
+//! One caveat is inherited rather than introduced: a
+//! [`QueryRequest::BurstyEvents`] under [`QueryStrategy::Pruned`] runs the
+//! dyadic search, which skips a subtree when the Eq. 6 bound says no
+//! descendant can reach θ, and sign cancellation between siblings can mask
+//! a bursting event. Each shard prunes over *its own* forest, so the
+//! pruned hit set of a sharded detector may differ from the unsharded
+//! one's (both are subsets of the exact scan answer, and every reported
+//! hit is a true point-query hit). [`QueryStrategy::ExactScan`] is exact
+//! with respect to point queries and matches the unsharded scan set for
+//! set.
+//!
+//! [`QueryStrategy::Pruned`]: crate::QueryStrategy::Pruned
+//! [`QueryStrategy::ExactScan`]: crate::QueryStrategy::ExactScan
 
 use bed_hierarchy::{BurstyEventHit, QueryStats};
 use bed_obs::{MetricsSnapshot, Tracer};
-use bed_stream::{BurstSpan, EventId, TimeRange, Timestamp};
+use bed_stream::{EventId, Timestamp};
 
 use crate::config::DetectorConfig;
 use crate::detector::BurstDetector;
@@ -35,7 +39,7 @@ use crate::error::BedError;
 use crate::metrics::{gauge, ShardMetrics};
 use crate::observe::Traceable;
 use crate::pipeline::check_batch;
-use crate::query::{BurstQueries, QueryRequest, QueryResponse, QueryStrategy};
+use crate::query::{BurstQueries, QueryRequest, QueryResponse};
 
 /// Batches below this size are ingested inline: spawning scoped threads
 /// costs more than a few thousand sketch updates.
@@ -57,56 +61,41 @@ pub(crate) fn route(event: EventId, n: usize) -> usize {
     (mix(event.value() as u64) % n as u64) as usize
 }
 
-/// An event-set answer: hits plus the probe statistics of the search.
-type EventSetAnswer = Result<(Vec<BurstyEventHit>, QueryStats), BedError>;
-
 /// The one query router over a shard set, shared by the live
 /// [`ShardedDetector`] and the epoch views ([`crate::epoch`]): per-event
 /// kinds go to the owning shard's uninstrumented dispatch (whose universe
-/// check covers the full `K`), bursty-event kinds go through [`fan_out`]
-/// with the scratch shared across the sequential shard visits.
+/// check covers the full `K`). A bursty-event request runs on every shard
+/// in routing order with the scratch shared across the visits; each
+/// shard's hits are kept only on the events it owns (a shard's sketch can
+/// only over-count, so it may report collision ghosts for ids it never
+/// saw), the stats are summed, and the hits merged. A single shard owns
+/// every id (`route(_, 1) == 0`), so the plain layout needs no special
+/// case.
 pub(crate) fn dispatch(
     shards: &[BurstDetector],
     request: &QueryRequest,
     scratch: &mut bed_sketch::QueryScratch,
 ) -> Result<QueryResponse, BedError> {
+    let n = shards.len();
     match *request {
         QueryRequest::Point { event, .. }
         | QueryRequest::BurstyTimes { event, .. }
         | QueryRequest::Series { event, .. }
-        | QueryRequest::TopK { event, .. } => {
-            shards[route(event, shards.len())].dispatch(request, scratch)
-        }
+        | QueryRequest::TopK { event, .. } => shards[route(event, n)].dispatch(request, scratch),
         QueryRequest::BurstyEvents { t, theta, tau, strategy } => {
-            let (hits, stats) = fan_out(shards, |shard| {
-                shard.bursty_events_with_reusing(t, theta, tau, strategy, scratch)
-            })?;
-            Ok(QueryResponse::BurstyEvents { hits, stats })
+            let mut merged: Vec<BurstyEventHit> = Vec::new();
+            let mut stats = QueryStats::default();
+            for (i, shard) in shards.iter().enumerate() {
+                let (hits, s) = shard.bursty_events(t, theta, tau, strategy, scratch)?;
+                stats.point_queries += s.point_queries;
+                stats.pruned_subtrees += s.pruned_subtrees;
+                stats.leaves_probed += s.leaves_probed;
+                merged.extend(hits.into_iter().filter(|h| route(h.event, n) == i));
+            }
+            merge_hits(&mut merged);
+            Ok(QueryResponse::BurstyEvents { hits: merged, stats })
         }
     }
-}
-
-/// The one bursty-event fan-out: runs `query` on every shard in routing
-/// order, keeps each shard's hits on the events it owns (a shard's sketch
-/// can only over-count, so it may report collision ghosts for ids it never
-/// saw), sums the stats, and merges. A single shard owns every id
-/// (`route(_, 1) == 0`), so the plain layout needs no special case.
-fn fan_out(
-    shards: &[BurstDetector],
-    mut query: impl FnMut(&BurstDetector) -> EventSetAnswer,
-) -> EventSetAnswer {
-    let n = shards.len();
-    let mut merged: Vec<BurstyEventHit> = Vec::new();
-    let mut stats = QueryStats::default();
-    for (i, shard) in shards.iter().enumerate() {
-        let (hits, s) = query(shard)?;
-        stats.point_queries += s.point_queries;
-        stats.pruned_subtrees += s.pruned_subtrees;
-        stats.leaves_probed += s.leaves_probed;
-        merged.extend(hits.into_iter().filter(|h| route(h.event, n) == i));
-    }
-    merge_hits(&mut merged);
-    Ok((merged, stats))
 }
 
 /// Canonical cross-shard hit merge: dedup by event (keeping the larger
@@ -128,11 +117,11 @@ fn merge_hits(merged: &mut Vec<BurstyEventHit>) {
 }
 
 /// N hash-partitioned [`BurstDetector`]s that ingest in parallel and
-/// answer every query a single detector does, with identical per-event
-/// semantics.
+/// answer every [`QueryRequest`] a single detector does, with identical
+/// per-event semantics.
 ///
 /// ```
-/// use bed_core::{BurstDetector, PbeVariant, ShardedDetector};
+/// use bed_core::{BurstDetector, BurstQueries, PbeVariant, QueryRequest, QueryStrategy};
 /// use bed_stream::{BurstSpan, EventId, Timestamp};
 ///
 /// // Same configuration as the unsharded crate example, split 4 ways.
@@ -156,13 +145,19 @@ fn merge_hits(merged: &mut Vec<BurstyEventHit>) {
 /// det.finalize();
 ///
 /// let tau = BurstSpan::new(10).unwrap();
-/// let b1 = det.point_query(EventId(1), Timestamp(49), tau);
-/// let b0 = det.point_query(EventId(0), Timestamp(49), tau);
+/// let point = |event| QueryRequest::Point { event, t: Timestamp(49), tau };
+/// let b1 = det.query(&point(EventId(1))).unwrap().burstiness().unwrap();
+/// let b0 = det.query(&point(EventId(0))).unwrap().burstiness().unwrap();
 /// assert!(b1 > 40.0 && b0.abs() < 5.0);
 ///
-/// let (hits, _) = det
-///     .bursty_events_with(Timestamp(49), 40.0, tau, bed_core::QueryStrategy::Pruned)
-///     .unwrap();
+/// let events = QueryRequest::BurstyEvents {
+///     t: Timestamp(49),
+///     theta: 40.0,
+///     tau,
+///     strategy: QueryStrategy::Pruned,
+/// };
+/// let answer = det.query(&events).unwrap();
+/// let hits = answer.hits().unwrap();
 /// assert_eq!(hits.len(), 1);
 /// assert_eq!(hits[0].event, EventId(1));
 /// ```
@@ -212,11 +207,6 @@ impl ShardedDetector {
         self.shards.len()
     }
 
-    /// The shard index owning `event`.
-    pub fn owner(&self, event: EventId) -> usize {
-        route(event, self.shards.len())
-    }
-
     /// Read-only access to one shard (diagnostics and tests).
     pub fn shard(&self, index: usize) -> &BurstDetector {
         &self.shards[index]
@@ -225,7 +215,7 @@ impl ShardedDetector {
     /// Records one arrival of `event` at `ts` on its owning shard.
     pub fn ingest(&mut self, event: EventId, ts: Timestamp) -> Result<(), BedError> {
         check_batch(self.config().universe, self.last_ts, &[(event, ts)])?;
-        let owner = self.owner(event);
+        let owner = route(event, self.shards.len());
         self.shards[owner].ingest(event, ts)?;
         self.last_ts = Some(ts);
         Ok(())
@@ -296,86 +286,6 @@ impl ShardedDetector {
         });
     }
 
-    /// POINT QUERY `q(e, t, τ)`: routed to the owning shard.
-    pub fn point_query(&self, event: EventId, t: Timestamp, tau: BurstSpan) -> f64 {
-        self.shards[self.owner(event)].point_query(event, t, tau)
-    }
-
-    /// Estimated cumulative frequency `F̃_e(t)`: routed to the owning shard.
-    pub fn cumulative_frequency(&self, event: EventId, t: Timestamp) -> f64 {
-        self.shards[self.owner(event)].cumulative_frequency(event, t)
-    }
-
-    /// Estimated incoming rate `b̃f_e(t)`: routed to the owning shard.
-    pub fn burst_frequency(&self, event: EventId, t: Timestamp, tau: BurstSpan) -> f64 {
-        self.shards[self.owner(event)].burst_frequency(event, t, tau)
-    }
-
-    /// BURSTY TIME QUERY `q(e, θ, τ)`: routed to the owning shard.
-    pub fn bursty_times(
-        &self,
-        event: EventId,
-        theta: f64,
-        tau: BurstSpan,
-        horizon: Timestamp,
-    ) -> Vec<(Timestamp, f64)> {
-        self.shards[self.owner(event)].bursty_times(event, theta, tau, horizon)
-    }
-
-    /// Burstiness time series of one event: routed to the owning shard.
-    pub fn burstiness_series(
-        &self,
-        event: EventId,
-        tau: BurstSpan,
-        range: TimeRange,
-        step: u64,
-    ) -> Vec<(Timestamp, f64)> {
-        self.shards[self.owner(event)].burstiness_series(event, tau, range, step)
-    }
-
-    /// The `k` most bursty instants of one event: routed to the owner.
-    pub fn top_bursts(
-        &self,
-        event: EventId,
-        k: usize,
-        tau: BurstSpan,
-        horizon: Timestamp,
-    ) -> Vec<(Timestamp, f64)> {
-        self.shards[self.owner(event)].top_bursts(event, k, tau, horizon)
-    }
-
-    /// BURSTY EVENT QUERY `q(t, θ, τ)`: each shard searches with the given
-    /// `strategy`, hits are merged across shards (see the module docs for
-    /// the [`QueryStrategy::Pruned`] caveat).
-    ///
-    /// Hits are sorted by descending burstiness, ties by event id; stats
-    /// are summed over shards.
-    pub fn bursty_events_with(
-        &self,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-        strategy: QueryStrategy,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        fan_out(&self.shards, |shard| shard.bursty_events_with(t, theta, tau, strategy))
-    }
-
-    /// BURSTY EVENT QUERY restricted to event ids `[lo, hi)`, merged
-    /// across shards.
-    pub fn bursty_events_in_range_with(
-        &self,
-        lo: u32,
-        hi: u32,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-        strategy: QueryStrategy,
-    ) -> Result<(Vec<BurstyEventHit>, QueryStats), BedError> {
-        fan_out(&self.shards, |shard| {
-            shard.bursty_events_in_range_with(lo, hi, t, theta, tau, strategy)
-        })
-    }
-
     /// Elements ingested so far, across all shards.
     pub fn arrivals(&self) -> u64 {
         self.shards.iter().map(BurstDetector::arrivals).sum()
@@ -398,12 +308,6 @@ impl ShardedDetector {
         self.shards.iter().map(BurstDetector::size_bytes).sum()
     }
 
-    /// Resident bytes of the struct-of-arrays probe banks across all
-    /// shards (see [`BurstDetector::soa_bank_bytes`]).
-    pub fn soa_bank_bytes(&self) -> usize {
-        self.shards.iter().map(BurstDetector::soa_bank_bytes).sum()
-    }
-
     /// Captures a [`MetricsSnapshot`] rolling every shard up: counters and
     /// histograms are summed across shards (the facade's query families
     /// included), next to the per-shard `shard.<i>.{arrivals,bytes}`
@@ -423,11 +327,6 @@ impl ShardedDetector {
 }
 
 impl BurstQueries for ShardedDetector {
-    fn query(&self, request: &QueryRequest) -> Result<QueryResponse, BedError> {
-        let mut scratch = bed_sketch::QueryScratch::new();
-        self.query_reusing(request, &mut scratch)
-    }
-
     /// The facade counts and traces every query once; the shards'
     /// kernels accumulate stage timings into the armed scratch, harvested
     /// under the facade's root span.
@@ -531,7 +430,8 @@ impl bed_stream::Codec for ShardedDetector {
 mod tests {
     use super::*;
     use crate::config::PbeVariant;
-    use bed_stream::Codec;
+    use crate::query::QueryStrategy;
+    use bed_stream::{BurstSpan, Codec};
 
     fn fixture_batch() -> Vec<(EventId, Timestamp)> {
         let mut batch = Vec::new();
@@ -571,11 +471,10 @@ mod tests {
 
     #[test]
     fn routing_is_total_and_stable() {
-        let det = sharded(3);
         for e in 0..8u32 {
-            let owner = det.owner(EventId(e));
+            let owner = route(EventId(e), 3);
             assert!(owner < 3);
-            assert_eq!(owner, det.owner(EventId(e)), "stable routing");
+            assert_eq!(owner, route(EventId(e), 3), "stable routing");
         }
     }
 
@@ -593,9 +492,10 @@ mod tests {
         let tau = BurstSpan::new(10).unwrap();
         for e in 0..8u32 {
             for t in [0u64, 50, 95, 99, 150] {
+                let point = QueryRequest::Point { event: EventId(e), t: Timestamp(t), tau };
                 assert_eq!(
-                    a.point_query(EventId(e), Timestamp(t), tau).to_bits(),
-                    b.point_query(EventId(e), Timestamp(t), tau).to_bits(),
+                    a.query(&point).unwrap().burstiness().unwrap().to_bits(),
+                    b.query(&point).unwrap().burstiness().unwrap().to_bits(),
                     "e={e} t={t}"
                 );
             }
@@ -609,13 +509,15 @@ mod tests {
         det.ingest_batch(&fixture_batch()).unwrap();
         det.finalize();
         let tau = BurstSpan::new(10).unwrap();
-        let (hits, stats) =
-            det.bursty_events_with(Timestamp(99), 50.0, tau, QueryStrategy::Pruned).unwrap();
+        let events =
+            |strategy| QueryRequest::BurstyEvents { t: Timestamp(99), theta: 50.0, tau, strategy };
+        let pruned = det.query(&events(QueryStrategy::Pruned)).unwrap();
+        let QueryResponse::BurstyEvents { hits, stats } = pruned else { unreachable!() };
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].event, EventId(5));
         assert!(stats.point_queries > 0);
-        let (scan_hits, _) =
-            det.bursty_events_with(Timestamp(99), 50.0, tau, QueryStrategy::ExactScan).unwrap();
+        let scan = det.query(&events(QueryStrategy::ExactScan)).unwrap();
+        let scan_hits = scan.hits().unwrap();
         assert_eq!(scan_hits.len(), 1);
         assert_eq!(scan_hits[0].event, EventId(5));
     }
@@ -674,9 +576,10 @@ mod tests {
         assert_eq!(back.arrivals(), det.arrivals());
         let tau = BurstSpan::new(10).unwrap();
         for e in 0..8u32 {
+            let point = QueryRequest::Point { event: EventId(e), t: Timestamp(99), tau };
             assert_eq!(
-                back.point_query(EventId(e), Timestamp(99), tau).to_bits(),
-                det.point_query(EventId(e), Timestamp(99), tau).to_bits()
+                back.query(&point).unwrap().burstiness().unwrap().to_bits(),
+                det.query(&point).unwrap().burstiness().unwrap().to_bits()
             );
         }
         // decoded detectors keep ingesting with the clock intact

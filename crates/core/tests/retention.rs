@@ -107,11 +107,17 @@ proptest! {
         prop_assert!(ret.compactions() >= (ticks.len() as u64) / every);
 
         let e = EventId(0);
+        let tau = BurstSpan::new(1).unwrap();
         let mut t = 0u64;
         while t <= now {
-            let exact = unret.cumulative_frequency(e, Timestamp(t));
+            let point = QueryRequest::Point { event: e, t: Timestamp(t), tau };
+            let QueryResponse::Point { cumulative: exact, .. } = unret.query(&point).unwrap() else {
+                unreachable!()
+            };
             prop_assert_eq!(truth(&ticks, t), exact, "PBE-1 buffer filled; exactness lost");
-            let got = ret.cumulative_frequency(e, Timestamp(t));
+            let QueryResponse::Point { cumulative: got, .. } = ret.query(&point).unwrap() else {
+                unreachable!()
+            };
             let tier = policy.tier_of(t, now);
             if tier == 0 {
                 prop_assert_eq!(got.to_bits(), exact.to_bits(),
@@ -167,8 +173,14 @@ proptest! {
         // samples a γ-accurate live curve at its cut (errors compound per
         // compaction), the final live part and the unretained reference
         // add one γ each.
-        let rt = ret.cumulative_frequency(e, Timestamp(now));
-        let ut = unret.cumulative_frequency(e, Timestamp(now));
+        let tau = BurstSpan::new((window / 2).max(1)).unwrap();
+        let at_now = QueryRequest::Point { event: e, t: Timestamp(now), tau };
+        let QueryResponse::Point { cumulative: rt, .. } = ret.query(&at_now).unwrap() else {
+            unreachable!()
+        };
+        let QueryResponse::Point { cumulative: ut, .. } = unret.query(&at_now).unwrap() else {
+            unreachable!()
+        };
         let slack = 2.0 * (ret.compactions() as f64 + 2.0) * gamma + 1e-9;
         prop_assert!(
             (rt - ut).abs() <= slack,
@@ -182,7 +194,10 @@ proptest! {
         let mut prev = 0.0f64;
         let mut t = 0u64;
         while t <= now {
-            let v = ret.cumulative_frequency(e, Timestamp(t));
+            let point = QueryRequest::Point { event: e, t: Timestamp(t), tau };
+            let QueryResponse::Point { cumulative: v, .. } = ret.query(&point).unwrap() else {
+                unreachable!()
+            };
             prop_assert!(
                 v >= prev - 2.0 * gamma - 1e-9,
                 "cumulative regressed past the PLA dip budget at t={} ({} -> {})", t, prev, v
@@ -192,7 +207,6 @@ proptest! {
         }
 
         // Series through the seam == its own point queries, bit for bit
-        let tau = BurstSpan::new((window / 2).max(1)).unwrap();
         let lo = now.saturating_sub(3 * window);
         let range = TimeRange { start: Timestamp(lo), end: Timestamp(now) };
         let step = ((now - lo) / 24).max(1);

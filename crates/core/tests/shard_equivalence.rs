@@ -11,8 +11,11 @@
 //! cancellation inside dyadic sums differs per forest), so for it we
 //! assert precision against the exact scan instead of set equality.
 
-use bed_core::{BurstDetector, PbeVariant, QueryStrategy, ShardedDetector};
-use bed_stream::{BurstSpan, EventId, Timestamp};
+use bed_core::{
+    BurstDetector, BurstQueries, PbeVariant, QueryRequest, QueryResponse, QueryStrategy,
+    ShardedDetector,
+};
+use bed_stream::{BurstSpan, EventId, TimeRange, Timestamp};
 use proptest::prelude::*;
 
 const UNIVERSE: u32 = 64;
@@ -63,6 +66,35 @@ fn build_pair(
     (plain, sharded)
 }
 
+/// A response's numbers as bit patterns, so comparisons are `to_bits`-exact
+/// (`==` on `f64` would equate `0.0` with `-0.0`). A bursty-event answer
+/// keeps its hits and drops its stats, which depend on the layout.
+fn bits(response: &QueryResponse) -> Vec<u64> {
+    match response {
+        QueryResponse::Point { burstiness, burst_frequency, cumulative, tier } => vec![
+            burstiness.to_bits(),
+            burst_frequency.to_bits(),
+            cumulative.to_bits(),
+            tier.map_or(u64::MAX, u64::from),
+        ],
+        QueryResponse::BurstyEvents { hits, .. } => {
+            hits.iter().flat_map(|h| [u64::from(h.event.0), h.burstiness.to_bits()]).collect()
+        }
+        QueryResponse::BurstyTimes(v) | QueryResponse::Series(v) | QueryResponse::TopK(v) => {
+            v.iter().flat_map(|&(t, b)| [t.ticks(), b.to_bits()]).collect()
+        }
+    }
+}
+
+/// Both detectors' answers to `request`, as [`bits`].
+fn answer_bits(
+    a: &dyn BurstQueries,
+    b: &dyn BurstQueries,
+    request: &QueryRequest,
+) -> (Vec<u64>, Vec<u64>) {
+    (bits(&a.query(request).unwrap()), bits(&b.query(request).unwrap()))
+}
+
 /// Hits as a canonical, bit-exact comparable set.
 fn hit_set(hits: &[bed_core::BurstyEventHit]) -> Vec<(u32, u64)> {
     let mut v: Vec<(u32, u64)> = hits.iter().map(|h| (h.event.0, h.burstiness.to_bits())).collect();
@@ -71,9 +103,10 @@ fn hit_set(hits: &[bed_core::BurstyEventHit]) -> Vec<(u32, u64)> {
 }
 
 proptest! {
-    /// Per-event curve queries are bit-for-bit shard-invariant: point
-    /// burstiness, cumulative frequency, and burst frequency at every
-    /// event and a grid of query times.
+    /// Per-event curve queries are bit-for-bit shard-invariant: the whole
+    /// `Point` answer (burstiness, burst frequency, cumulative frequency)
+    /// at every event and a grid of query times, and the `Series` sampling
+    /// that grid.
     #[test]
     fn point_queries_are_shard_invariant(
         els in arb_stream(250),
@@ -85,27 +118,18 @@ proptest! {
         let tau = BurstSpan::new(tau).unwrap();
         let horizon = els.last().unwrap().1 + 50;
         for e in 0..UNIVERSE {
-            let e = EventId(e);
+            let event = EventId(e);
             let mut t = 0u64;
             while t <= horizon {
-                let q = Timestamp(t);
-                prop_assert_eq!(
-                    sharded.point_query(e, q, tau).to_bits(),
-                    plain.point_query(e, q, tau).to_bits(),
-                    "point_query({:?}, t={}) diverged", e, t
-                );
-                prop_assert_eq!(
-                    sharded.cumulative_frequency(e, q).to_bits(),
-                    plain.cumulative_frequency(e, q).to_bits(),
-                    "cumulative_frequency({:?}, t={}) diverged", e, t
-                );
-                prop_assert_eq!(
-                    sharded.burst_frequency(e, q, tau).to_bits(),
-                    plain.burst_frequency(e, q, tau).to_bits(),
-                    "burst_frequency({:?}, t={}) diverged", e, t
-                );
+                let point = QueryRequest::Point { event, t: Timestamp(t), tau };
+                let (a, b) = answer_bits(&sharded, &plain, &point);
+                prop_assert_eq!(a, b, "Point({:?}, t={}) diverged", event, t);
                 t += 31;
             }
+            let range = TimeRange { start: Timestamp(0), end: Timestamp(horizon) };
+            let series = QueryRequest::Series { event, tau, range, step: 31 };
+            let (a, b) = answer_bits(&sharded, &plain, &series);
+            prop_assert_eq!(a, b, "Series({:?}) diverged", event);
         }
         prop_assert_eq!(sharded.arrivals(), plain.arrivals());
     }
@@ -124,20 +148,13 @@ proptest! {
         let theta = theta as f64;
         let horizon = Timestamp(els.last().unwrap().1 + 40);
         for e in (0..UNIVERSE).step_by(7) {
-            let e = EventId(e);
-            let a = plain.bursty_times(e, theta, tau, horizon);
-            let b = sharded.bursty_times(e, theta, tau, horizon);
-            prop_assert_eq!(a.len(), b.len(), "hit counts differ for {:?}", e);
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(x.0, y.0);
-                prop_assert_eq!(x.1.to_bits(), y.1.to_bits());
-            }
-            let ta = plain.top_bursts(e, 3, tau, horizon);
-            let tb = sharded.top_bursts(e, 3, tau, horizon);
-            prop_assert_eq!(ta.len(), tb.len());
-            for (x, y) in ta.iter().zip(&tb) {
-                prop_assert_eq!(x.1.to_bits(), y.1.to_bits());
-            }
+            let event = EventId(e);
+            let times = QueryRequest::BurstyTimes { event, theta, tau, horizon };
+            let (a, b) = answer_bits(&plain, &sharded, &times);
+            prop_assert_eq!(a, b, "BurstyTimes diverged for {:?}", event);
+            let top = QueryRequest::TopK { event, k: 3, tau, horizon };
+            let (a, b) = answer_bits(&plain, &sharded, &top);
+            prop_assert_eq!(a, b, "TopK diverged for {:?}", event);
         }
     }
 
@@ -158,21 +175,23 @@ proptest! {
         let theta = theta_i as f64;
         let t = Timestamp(q);
 
-        let (scan_p, _) = plain.bursty_events_with(t, theta, tau, QueryStrategy::ExactScan).unwrap();
-        let (scan_s, _) =
-            sharded.bursty_events_with(t, theta, tau, QueryStrategy::ExactScan).unwrap();
-        prop_assert_eq!(hit_set(&scan_p), hit_set(&scan_s), "scan sets diverged");
+        let events = |strategy| QueryRequest::BurstyEvents { t, theta, tau, strategy };
+        let scan = events(QueryStrategy::ExactScan);
+        let (scan_p, scan_s) = (plain.query(&scan).unwrap(), sharded.query(&scan).unwrap());
+        let scan_set = hit_set(scan_p.hits().unwrap());
+        prop_assert_eq!(&scan_set, &hit_set(scan_s.hits().unwrap()), "scan sets diverged");
 
-        let scan_set = hit_set(&scan_p);
-        for (name, det_hits) in [
-            ("plain", plain.bursty_events_with(t, theta, tau, QueryStrategy::Pruned).unwrap().0),
-            ("sharded", sharded.bursty_events_with(t, theta, tau, QueryStrategy::Pruned).unwrap().0),
+        let pruned = events(QueryStrategy::Pruned);
+        for (name, answer) in [
+            ("plain", plain.query(&pruned).unwrap()),
+            ("sharded", sharded.query(&pruned).unwrap()),
         ] {
-            for h in &det_hits {
+            for h in answer.hits().unwrap() {
                 prop_assert!(h.burstiness >= theta, "{name}: sub-θ hit {h:?}");
+                let point = QueryRequest::Point { event: h.event, t, tau };
                 prop_assert_eq!(
-                    h.burstiness.to_bits(),
-                    plain.point_query(h.event, t, tau).to_bits(),
+                    Some(h.burstiness.to_bits()),
+                    plain.query(&point).unwrap().burstiness().map(f64::to_bits),
                     "{} pruned hit disagrees with the point query", name
                 );
                 prop_assert!(
@@ -223,13 +242,12 @@ proptest! {
         let tau = BurstSpan::new(40).unwrap();
         let horizon = big.last().unwrap().1.ticks() + 10;
         for e in 0..UNIVERSE {
-            let e = EventId(e);
+            let event = EventId(e);
             let mut t = 0u64;
             while t <= horizon {
-                prop_assert_eq!(
-                    batched.point_query(e, Timestamp(t), tau).to_bits(),
-                    serial.point_query(e, Timestamp(t), tau).to_bits()
-                );
+                let point = QueryRequest::Point { event, t: Timestamp(t), tau };
+                let (a, b) = answer_bits(&batched, &serial, &point);
+                prop_assert_eq!(a, b);
                 t += 97;
             }
         }

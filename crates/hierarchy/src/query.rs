@@ -32,10 +32,8 @@ pub struct QueryStats {
     pub leaves_probed: usize,
 }
 
-/// The running state of one pruned dyadic search over the ids `[lo, hi)`.
+/// The running state of one pruned dyadic search.
 struct Search<'a> {
-    lo: u32,
-    hi: u32,
     t: Timestamp,
     theta: f64,
     tau: BurstSpan,
@@ -66,28 +64,15 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         theta: f64,
         tau: BurstSpan,
     ) -> (Vec<BurstyEventHit>, QueryStats) {
-        self.bursty_events_staged(0, u32::MAX, t, theta, tau, &mut StageTimings::default())
+        self.bursty_events_staged(t, theta, tau, &mut StageTimings::default())
     }
 
-    /// BURSTY EVENT QUERY restricted to the event-id range `[lo, hi)` —
-    /// the pruned search behind [`Self::bursty_events`] (`[0, u32::MAX)`).
-    /// The dyadic tree supports the restriction for free: subtrees disjoint
-    /// from the range are skipped outright, subtrees inside it prune exactly
-    /// as in [`Self::bursty_events`], and the handful of *straddling* nodes
-    /// on the range border are descended unconditionally (their block
-    /// estimates mix in-range and out-of-range events, so the Eq. 6 bound
-    /// does not apply to the in-range half). Useful when event ids encode a
-    /// grouping (a category, a tenant, a paper-style party affiliation) and
-    /// only one group is of interest.
-    ///
-    /// Reports into a query's stage clocks: while `stages` is armed, every
-    /// block probe is timed and counted as cell-probe and median-combine
-    /// work and the rest of the search as `hierarchy_prune_ns`. The answer
-    /// is bit-identical either way.
+    /// [`Self::bursty_events`], reporting into a query's stage clocks: while
+    /// `stages` is armed, every block probe is timed and counted as
+    /// cell-probe and median-combine work and the rest of the search as
+    /// `hierarchy_prune_ns`. The answer is bit-identical either way.
     pub fn bursty_events_staged(
         &self,
-        lo: u32,
-        hi: u32,
         t: Timestamp,
         theta: f64,
         tau: BurstSpan,
@@ -95,7 +80,7 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
     ) -> (Vec<BurstyEventHit>, QueryStats) {
         assert!(theta > 0.0, "bursty event queries require a positive threshold");
         let stats = QueryStats::default();
-        let mut s = Search { lo, hi, t, theta, tau, hits: Vec::new(), stats, stages };
+        let mut s = Search { t, theta, tau, hits: Vec::new(), stats, stages };
         if s.stages.enabled {
             let started = std::time::Instant::now();
             let probing = s.stages.cell_probe_ns + s.stages.median_combine_ns;
@@ -125,10 +110,10 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
 
     /// `b_node` is the node's own estimate, computed once by the parent (so
     /// each visited internal node costs exactly two point queries — one per
-    /// child — and leaves cost none). Subtrees outside `[lo, hi)` or inside
-    /// the padding (never updated) are skipped outright.
+    /// child — and leaves cost none). Subtrees inside the padding (never
+    /// updated) are skipped outright.
     fn recurse<C: Clock>(&self, node: DyadicRange, b_node: f64, s: &mut Search<'_>) {
-        if node.end() <= s.lo || node.start() >= s.hi || node.start() >= self.universe() {
+        if node.start() >= self.universe() {
             s.stats.pruned_subtrees += 1;
             return;
         }
@@ -139,7 +124,6 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
             }
             return;
         }
-        let fully_inside = s.lo <= node.start() && node.end() <= s.hi;
         let left = node.left_child().expect("non-leaf");
         let right = node.right_child().expect("non-leaf");
         let b_l = self.block_probe::<C>(left, s);
@@ -147,9 +131,7 @@ impl<P: CurveSketch> DyadicCmPbe<P> {
         s.stats.point_queries += 2;
         // Eq. 6: b_p² − 2·b_l·b_r = b_l² + b_r² (exactly, when estimates are
         // exact); below θ² implies both children are below θ in magnitude.
-        // The bound is only sound when the node's estimate covers exactly
-        // the ids under consideration.
-        if fully_inside && b_node * b_node - 2.0 * b_l * b_r < s.theta * s.theta {
+        if b_node * b_node - 2.0 * b_l * b_r < s.theta * s.theta {
             s.stats.pruned_subtrees += 1;
             return;
         }
@@ -207,17 +189,6 @@ mod tests {
     use super::*;
     use bed_pbe::{ExactCurve, Pbe2, Pbe2Config};
     use bed_sketch::SketchParams;
-
-    fn in_range<P: CurveSketch>(
-        f: &DyadicCmPbe<P>,
-        lo: u32,
-        hi: u32,
-        t: Timestamp,
-        theta: f64,
-        tau: BurstSpan,
-    ) -> (Vec<BurstyEventHit>, QueryStats) {
-        f.bursty_events_staged(lo, hi, t, theta, tau, &mut StageTimings::default())
-    }
 
     fn leaf_bursty_times<P: CurveSketch>(
         f: &DyadicCmPbe<P>,
@@ -320,45 +291,6 @@ mod tests {
     fn nonpositive_threshold_panics() {
         let f = bursty_fixture(|_| ExactCurve::new());
         f.bursty_events(Timestamp(0), 0.0, BurstSpan::new(5).unwrap());
-    }
-
-    #[test]
-    fn range_query_restricts_and_agrees() {
-        let f = bursty_fixture(|_| ExactCurve::new());
-        let tau = BurstSpan::new(20).unwrap();
-        let t = Timestamp(110);
-        // full range = plain query
-        let (all, _) = f.bursty_events(t, 40.0, tau);
-        let (ranged, _) = in_range(&f, 0, 64, t, 40.0, tau);
-        assert_eq!(all, ranged);
-        // bursting events are 3 and 40: query each half
-        let (low, stats_low) = in_range(&f, 0, 32, t, 40.0, tau);
-        assert_eq!(low.len(), 1);
-        assert_eq!(low[0].event.value(), 3);
-        let (high, _) = in_range(&f, 32, 64, t, 40.0, tau);
-        assert_eq!(high.len(), 1);
-        assert_eq!(high[0].event.value(), 40);
-        // a range containing neither burster
-        let (none, _) = in_range(&f, 8, 32, t, 40.0, tau);
-        assert!(none.is_empty());
-        // restricting the range must not cost more probes than the full query
-        let (_, stats_full) = f.bursty_events(t, 40.0, tau);
-        assert!(stats_low.point_queries <= stats_full.point_queries);
-    }
-
-    #[test]
-    fn range_query_straddling_borders_is_exact() {
-        let f = bursty_fixture(|_| ExactCurve::new());
-        let tau = BurstSpan::new(20).unwrap();
-        let t = Timestamp(110);
-        // an awkward unaligned range that straddles several dyadic nodes and
-        // contains exactly one burster
-        let (hits, _) = in_range(&f, 3, 40, t, 40.0, tau);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].event.value(), 3);
-        let (hits, _) = in_range(&f, 4, 41, t, 40.0, tau);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].event.value(), 40);
     }
 
     #[test]

@@ -86,13 +86,6 @@ impl SpanName {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u64);
 
-impl TraceId {
-    /// Renders the id as fixed-width lowercase hex.
-    pub fn to_hex(self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
-
 /// One finished span as read back out of the ring buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
@@ -944,7 +937,7 @@ mod tests {
         root.child_ns(SpanName::STAGE_HIERARCHY_PRUNE, 42);
         root.finish(String::new);
         let tree = t.trace_tree_json(id).unwrap();
-        assert!(tree.starts_with(&format!("{{\"trace_id\":\"{}\",\"roots\":[", id.to_hex())));
+        assert!(tree.starts_with(&format!("{{\"trace_id\":\"{:016x}\",\"roots\":[", id.0)));
         assert!(tree.contains("\"name\":\"query.bursty_events\""));
         assert!(tree.contains("\"name\":\"stage.hierarchy_prune\""));
         assert!(tree.ends_with("],\"orphans\":[]}"));

@@ -122,16 +122,6 @@ impl RetentionPolicy {
         let span = self.window.saturating_mul(1u64.checked_shl(tier - 1).unwrap_or(u64::MAX));
         (span / u64::from(self.budget)).max(1)
     }
-
-    /// Number of tiers in play for a history whose oldest tick has the
-    /// given age (= `tier_of(oldest, now) + 1`).
-    pub fn tiers_for_age(&self, age: u64) -> u32 {
-        if age < self.window {
-            1
-        } else {
-            (age / self.window).ilog2() + 2
-        }
-    }
 }
 
 impl std::fmt::Display for RetentionPolicy {
@@ -364,11 +354,6 @@ mod tests {
         assert_eq!(p.grain(2), 20); // span 200 (ages [200,400))
         assert_eq!(p.grain(3), 40); // span 400
         assert_eq!(p.grain(4), 80);
-
-        assert_eq!(p.tiers_for_age(0), 1);
-        assert_eq!(p.tiers_for_age(99), 1);
-        assert_eq!(p.tiers_for_age(100), 2);
-        assert_eq!(p.tiers_for_age(400), 4);
     }
 
     #[test]

@@ -171,11 +171,6 @@ impl ExactBaseline {
     pub fn size_bytes(&self) -> usize {
         self.curves.values().map(|c| c.n_points() * 16).sum()
     }
-
-    /// Total corner points across all curves (`n` in the paper's analysis).
-    pub fn total_corner_points(&self) -> usize {
-        self.curves.values().map(|c| c.n_points()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +289,6 @@ mod tests {
     fn storage_accounting() {
         let b = baseline(&[(1, 0), (1, 0), (1, 5), (2, 9)]);
         // event 1: corners at t=0, t=5 → 2 points; event 2: 1 point
-        assert_eq!(b.total_corner_points(), 3);
         assert_eq!(b.size_bytes(), 48);
     }
 }

@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example forensics`
 
 use bed::stream::ExactBaseline;
-use bed::{BurstDetector, BurstSpan, EventId, PbeVariant, Timestamp};
+use bed::{BurstDetector, BurstQueries, BurstSpan, EventId, PbeVariant, QueryRequest, Timestamp};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -64,13 +64,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("hour | channel: sketch b̃ (exact b) for the three responders");
     for hour in 99..108u64 {
         let t = Timestamp(hour * 3_600 + 3_599);
-        let row: Vec<String> = (0..3u32)
-            .map(|ch| {
-                let est = detector.point_query(EventId(ch), t, tau);
-                let truth = baseline.point_query(EventId(ch), t, tau);
-                format!("ch{ch}: {est:>7.0} ({truth:>6})")
-            })
-            .collect();
+        let mut row = Vec::new();
+        for ch in 0..3u32 {
+            let event = EventId(ch);
+            let answer = detector.query(&QueryRequest::Point { event, t, tau })?;
+            let est = answer.burstiness().expect("a Point request gets a Point answer");
+            let truth = baseline.point_query(event, t, tau);
+            row.push(format!("ch{ch}: {est:>7.0} ({truth:>6})"));
+        }
         println!("{hour:>4} | {}", row.join("   "));
     }
 
@@ -78,9 +79,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut err = 0.0;
     let probes = 1_000;
     for _ in 0..probes {
-        let e = EventId(rng.gen_range(0..32));
+        let event = EventId(rng.gen_range(0..32));
         let t = Timestamp(rng.gen_range(0..240 * 3_600));
-        err += (detector.point_query(e, t, tau) - baseline.point_query(e, t, tau) as f64).abs();
+        let answer = detector.query(&QueryRequest::Point { event, t, tau })?;
+        let est = answer.burstiness().expect("a Point request gets a Point answer");
+        err += (est - baseline.point_query(event, t, tau) as f64).abs();
     }
     println!("\nmean |b̃ − b| over {probes} random historical probes: {:.1}", err / probes as f64);
     Ok(())

@@ -10,7 +10,10 @@
 //! Run with: `cargo run --release --example olympics`
 
 use bed::workload::olympics::{self, OlympicsConfig};
-use bed::{BurstDetector, BurstSpan, PbeVariant, QueryStrategy, Timestamp};
+use bed::{
+    BurstDetector, BurstQueries, BurstSpan, PbeVariant, QueryRequest, QueryResponse, QueryStrategy,
+    Timestamp,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = olympics::generate(OlympicsConfig { total_elements: 200_000, seed: 2016 });
@@ -41,15 +44,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Was soccer bursty on the final's day? And the day after?
     for d in [19u64, 21, 23] {
-        println!(
-            "soccer burstiness on day {d}: {:>10.0}",
-            detector.point_query(data.soccer, day(d), tau)
-        );
+        let answer = detector.query(&QueryRequest::Point { event: data.soccer, t: day(d), tau })?;
+        let b = answer.burstiness().expect("a Point request gets a Point answer");
+        println!("soccer burstiness on day {d}: {b:>10.0}");
     }
 
     // When was swimming hot? (bursty-time query)
     let horizon = Timestamp(olympics::OLYMPICS_HORIZON_SECS);
-    let times = detector.bursty_times(data.swimming, 400.0, tau, horizon);
+    let times = detector.query(&QueryRequest::BurstyTimes {
+        event: data.swimming,
+        theta: 400.0,
+        tau,
+        horizon,
+    })?;
+    let times = times.samples().expect("a BurstyTimes request gets samples");
     if let (Some(first), Some(last)) = (times.first(), times.last()) {
         println!(
             "\nswimming bursty (θ=400) from day {:.1} to day {:.1}",
@@ -59,8 +67,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // What burst on day 21? (bursty-event query, pruned dyadic search)
-    let (hits, stats) =
-        detector.bursty_events_with(day(21), 2_000.0, tau, QueryStrategy::Pruned)?;
+    let QueryResponse::BurstyEvents { hits, stats } =
+        detector.query(&QueryRequest::BurstyEvents {
+            t: day(21),
+            theta: 2_000.0,
+            tau,
+            strategy: QueryStrategy::Pruned,
+        })?
+    else {
+        unreachable!("a BurstyEvents request gets a BurstyEvents answer")
+    };
     println!(
         "\nbursty events on day 21 (θ=2000): {} hits using {} probes (vs {} events)",
         hits.len(),

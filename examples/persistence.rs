@@ -6,7 +6,10 @@
 
 use bed::stream::Codec;
 use bed::workload::olympics::{self, OlympicsConfig};
-use bed::{BurstDetector, BurstSpan, PbeVariant, QueryStrategy, Timestamp};
+use bed::{
+    BurstDetector, BurstQueries, BurstSpan, PbeVariant, QueryRequest, QueryResponse, QueryStrategy,
+    Timestamp,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = olympics::generate(OlympicsConfig { total_elements: 100_000, seed: 2016 });
@@ -39,17 +42,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tau = BurstSpan::DAY_SECONDS;
     let day21 = Timestamp(21 * 86_400);
     println!("\nhistorian asks: what burst on day 21?");
-    let (hits, stats) = restored.bursty_events_with(day21, 1_000.0, tau, QueryStrategy::Pruned)?;
+    let QueryResponse::BurstyEvents { hits, stats } =
+        restored.query(&QueryRequest::BurstyEvents {
+            t: day21,
+            theta: 1_000.0,
+            tau,
+            strategy: QueryStrategy::Pruned,
+        })?
+    else {
+        unreachable!("a BurstyEvents request gets a BurstyEvents answer")
+    };
     for h in &hits {
         println!("  {}  b̃ = {:.0}", h.event, h.burstiness);
     }
     println!("  ({} probes over a {}-event universe)", stats.point_queries, data.universe);
 
     // The restored detector answers identically to the original.
-    assert_eq!(
-        det.point_query(data.soccer, day21, tau),
-        restored.point_query(data.soccer, day21, tau)
-    );
+    let soccer = QueryRequest::Point { event: data.soccer, t: day21, tau };
+    assert_eq!(det.query(&soccer)?, restored.query(&soccer)?);
     println!("\nrestored sketch answers are bit-identical to the original — done.");
     Ok(())
 }

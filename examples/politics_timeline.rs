@@ -5,7 +5,9 @@
 //! Run with: `cargo run --release --example politics_timeline`
 
 use bed::workload::politics::{self, Party, PoliticsConfig, POLITICS_HORIZON_SECS};
-use bed::{BurstDetector, BurstSpan, PbeVariant, QueryStrategy, Timestamp};
+use bed::{
+    BurstDetector, BurstQueries, BurstSpan, PbeVariant, QueryRequest, QueryStrategy, Timestamp,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data =
@@ -30,10 +32,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nday  democrat   republican  (one █ per 200 units of summed burstiness)");
     for d in 1..days {
         let t = Timestamp(d * 86_400 + 43_200);
-        let (hits, _) = detector.bursty_events_with(t, theta, tau, QueryStrategy::Pruned)?;
+        let answer = detector.query(&QueryRequest::BurstyEvents {
+            t,
+            theta,
+            tau,
+            strategy: QueryStrategy::Pruned,
+        })?;
         let mut dem = 0.0f64;
         let mut rep = 0.0f64;
-        for h in &hits {
+        for h in answer.hits().expect("a BurstyEvents request gets hits") {
             match data.party_of(h.event) {
                 Party::Democrat => dem += h.burstiness,
                 Party::Republican => rep += h.burstiness,

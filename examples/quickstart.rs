@@ -3,7 +3,10 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use bed::{BurstDetector, BurstSpan, EventId, PbeVariant, Timestamp};
+use bed::{
+    BurstDetector, BurstQueries, BurstSpan, EventId, PbeVariant, QueryRequest, QueryResponse,
+    Timestamp,
+};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A single "earthquake" event: quiet background chatter, then a sudden
@@ -34,21 +37,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // POINT QUERY: how bursty was the event at minute 510, with a
-    // 10-minute burst span? (The event id is ignored in single-event mode.)
+    // 10-minute burst span? (A single-event detector's stream is event 0.)
     let tau = BurstSpan::new(600)?;
-    let e = EventId(0);
+    let event = EventId(0);
     for minute in [100u64, 505, 515, 530, 560, 1_000] {
         let t = Timestamp(minute * 60);
-        println!(
-            "b(minute {minute:>4}) = {:>8.1}   (rate {:>6.1}/span)",
-            detector.point_query(e, t, tau),
-            detector.burst_frequency(e, t, tau),
-        );
+        let QueryResponse::Point { burstiness, burst_frequency, .. } =
+            detector.query(&QueryRequest::Point { event, t, tau })?
+        else {
+            unreachable!("a Point request gets a Point answer")
+        };
+        println!("b(minute {minute:>4}) = {burstiness:>8.1}   (rate {burst_frequency:>6.1}/span)");
     }
 
     // BURSTY TIME QUERY: when did burstiness exceed 300?
     let horizon = Timestamp(2_000 * 60);
-    let times = detector.bursty_times(e, 300.0, tau, horizon);
+    let times = detector.query(&QueryRequest::BurstyTimes { event, theta: 300.0, tau, horizon })?;
+    let times = times.samples().expect("a BurstyTimes request gets samples");
     let (first, last) = (times.first().unwrap().0, times.last().unwrap().0);
     println!(
         "burstiness ≥ 300 between minute {} and minute {} ({} probe hits)",

@@ -71,12 +71,21 @@ fn burst_span_construction() {
 fn queries_on_empty_detectors_are_sane() {
     let det = BurstDetector::builder().universe(16).build().unwrap();
     let tau = BurstSpan::new(10).unwrap();
-    assert_eq!(det.point_query(EventId(3), Timestamp(100), tau), 0.0);
-    assert_eq!(det.cumulative_frequency(EventId(3), Timestamp(100)), 0.0);
-    let (hits, _) =
-        det.bursty_events_with(Timestamp(100), 1.0, tau, QueryStrategy::Pruned).unwrap();
-    assert!(hits.is_empty());
-    assert!(det.bursty_times(EventId(3), 1.0, tau, Timestamp(1_000)).is_empty());
+    let point = det.query(&QueryRequest::Point { event: EventId(3), t: Timestamp(100), tau });
+    let Ok(QueryResponse::Point { burstiness, cumulative, .. }) = point else {
+        panic!("no point answer: {point:?}");
+    };
+    assert_eq!((burstiness, cumulative), (0.0, 0.0));
+    let events = QueryRequest::BurstyEvents {
+        t: Timestamp(100),
+        theta: 1.0,
+        tau,
+        strategy: QueryStrategy::Pruned,
+    };
+    assert!(det.query(&events).unwrap().hits().unwrap().is_empty());
+    let times =
+        QueryRequest::BurstyTimes { event: EventId(3), theta: 1.0, tau, horizon: Timestamp(1_000) };
+    assert!(det.query(&times).unwrap().samples().unwrap().is_empty());
     assert_eq!(det.arrivals(), 0);
 }
 
@@ -90,10 +99,11 @@ fn finalize_is_idempotent() {
     det.finalize();
     let size = det.size_bytes();
     let tau = BurstSpan::new(10).unwrap();
-    let b = det.point_query(EventId(0), Timestamp(99), tau);
+    let point = QueryRequest::Point { event: EventId(0), t: Timestamp(99), tau };
+    let b = det.query(&point).unwrap();
     det.finalize();
     assert_eq!(det.size_bytes(), size);
-    assert_eq!(det.point_query(EventId(0), Timestamp(99), tau), b);
+    assert_eq!(det.query(&point).unwrap(), b);
 }
 
 #[test]
@@ -108,7 +118,11 @@ fn ingest_after_finalize_continues_the_stream() {
         det.ingest(EventId(0), Timestamp(t)).unwrap();
     }
     det.finalize();
-    let f = det.cumulative_frequency(EventId(0), Timestamp(99));
+    let tau = BurstSpan::new(10).unwrap();
+    let point = det.query(&QueryRequest::Point { event: EventId(0), t: Timestamp(99), tau });
+    let Ok(QueryResponse::Point { cumulative: f, .. }) = point else {
+        panic!("no point answer: {point:?}");
+    };
     assert!((f - 100.0).abs() <= 4.0, "F̃ = {f}");
 }
 
@@ -126,18 +140,19 @@ fn nonpositive_theta_is_a_typed_error_not_a_panic() {
     let tau = BurstSpan::new(10).unwrap();
     for theta in [0.0, -5.0, f64::NAN] {
         for strategy in [QueryStrategy::Pruned, QueryStrategy::ExactScan] {
-            let err = det.bursty_events_with(Timestamp(0), theta, tau, strategy).unwrap_err();
-            assert!(err.to_string().contains("theta"), "{err}");
-            let err = det
-                .bursty_events_in_range_with(0, 4, Timestamp(0), theta, tau, strategy)
-                .unwrap_err();
+            let events = QueryRequest::BurstyEvents { t: Timestamp(0), theta, tau, strategy };
+            let err = det.query(&events).unwrap_err();
             assert!(err.to_string().contains("theta"), "{err}");
         }
     }
-    // inverted id range is also a typed error
-    let err = det
-        .bursty_events_in_range_with(3, 3, Timestamp(0), 1.0, tau, QueryStrategy::Pruned)
-        .unwrap_err();
+    // an inverted series range is also a typed error
+    let series = QueryRequest::Series {
+        event: EventId(0),
+        tau,
+        range: TimeRange { start: Timestamp(3), end: Timestamp(2) },
+        step: 1,
+    };
+    let err = det.query(&series).unwrap_err();
     assert!(err.to_string().contains("inverted"), "{err}");
 }
 
@@ -650,32 +665,40 @@ proptest! {
     }
 }
 
-/// `Point` answers against the standalone estimators: burstiness, burst
-/// frequency and cumulative count must be bit-for-bit the separate
-/// `point_query`, `burst_frequency` and `cumulative_frequency` values
-/// (`standalone` returns them in that order).
-fn assert_points_are_standalone(
-    det: &dyn BurstQueries,
-    requests: &[QueryRequest],
-    standalone: impl Fn(EventId, Timestamp, BurstSpan) -> [f64; 3],
-) {
-    for &req in requests {
-        let QueryRequest::Point { event, t, tau } = req else { unreachable!("point requests") };
-        let Ok(QueryResponse::Point { burstiness, burst_frequency, cumulative, .. }) =
-            det.query(&req)
-        else {
-            panic!("no point answer for {req:?}");
+/// `Point` answers against their own cumulative counts: the burst
+/// frequency and burstiness at `t` must be bit-for-bit the Eq. 2
+/// combinations of the `cumulative` that further `Point` requests report
+/// at `t`, `t − τ` and `t − 2τ`, a pre-epoch leg reading 0.
+fn assert_points_compose(det: &dyn BurstQueries, requests: &[QueryRequest]) {
+    let point = |req: &QueryRequest| match det.query(req) {
+        Ok(QueryResponse::Point { burstiness, burst_frequency, cumulative, .. }) => {
+            [burstiness, burst_frequency, cumulative]
+        }
+        other => panic!("no point answer for {req:?}: {other:?}"),
+    };
+    for req in requests {
+        let QueryRequest::Point { event, t, tau } = *req else { unreachable!("point requests") };
+        let cumulative_back = |spans: u64| {
+            t.checked_sub(tau.ticks().saturating_mul(spans))
+                .map_or(0.0, |t| point(&QueryRequest::Point { event, t, tau })[2])
         };
-        let (got, want) = ([burstiness, burst_frequency, cumulative], standalone(event, t, tau));
-        assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{req:?}: {got:?} vs {want:?}");
+        let [b, bf, f0] = point(req);
+        let (f1, f2) = (cumulative_back(1), cumulative_back(2));
+        let (got, want) = ([b, bf], [burstiness([f0, f1, f2]), f0 - f1]);
+        assert_eq!(
+            got.map(f64::to_bits),
+            want.map(f64::to_bits),
+            "{req:?}: {got:?} vs {want:?} from cumulative [{f0}, {f1}, {f2}]"
+        );
     }
 }
 
 proptest! {
     /// One fused probe answers all three `Point` numbers bit-for-bit like
-    /// the standalone estimators, on every layout — single stream, flat
-    /// grid, hierarchy, tiered retention, sharded — both mid-stream (no
-    /// SoA bank) and finalized (banked wherever the cells allow).
+    /// the Eq. 2 composition of separately probed cumulative counts, on
+    /// every layout — single stream, flat grid, hierarchy, tiered
+    /// retention, sharded — both mid-stream (no SoA bank) and finalized
+    /// (banked wherever the cells allow).
     #[test]
     fn point_answers_equal_the_standalone_estimators(
         arrivals in prop::collection::vec((0u32..16, 0u64..8), 1..300),
@@ -716,9 +739,7 @@ proptest! {
             let mut banked = det.clone();
             banked.finalize();
             for d in [&det, &banked] {
-                assert_points_are_standalone(d, &requests, |e, t, tau| {
-                    [d.point_query(e, t, tau), d.burst_frequency(e, t, tau), d.cumulative_frequency(e, t)]
-                });
+                assert_points_compose(d, &requests);
             }
         } else {
             let mut det = builder().build().unwrap();
@@ -732,9 +753,7 @@ proptest! {
                 prop_assert!(banked.soa_bank_bytes() > 0, "finalize must build the bank");
             }
             for d in [&det, &banked] {
-                assert_points_are_standalone(d, &requests, |e, t, tau| {
-                    [d.point_query(e, t, tau), d.burst_frequency(e, t, tau), d.cumulative_frequency(e, t)]
-                });
+                assert_points_compose(d, &requests);
             }
         }
     }

@@ -4,7 +4,9 @@
 use bed::stream::ExactBaseline;
 use bed::workload::olympics::{self, OlympicsConfig};
 use bed::workload::truth;
-use bed::{BurstDetector, BurstSpan, PbeVariant, QueryStrategy, Timestamp};
+use bed::{
+    BurstDetector, BurstQueries, BurstSpan, PbeVariant, QueryRequest, QueryStrategy, Timestamp,
+};
 
 fn build(
     variant: PbeVariant,
@@ -38,8 +40,9 @@ fn point_queries_track_ground_truth() {
             200,
             17,
         );
-        let err =
-            truth::mean_abs_error(&baseline, &queries, tau, |e, t| det.point_query(e, t, tau));
+        let err = truth::mean_abs_error(&baseline, &queries, tau, |event, t| {
+            det.query(&QueryRequest::Point { event, t, tau }).unwrap().burstiness().unwrap()
+        });
         // Soccer burstiness peaks in the tens of thousands at this scale;
         // a mean error beyond 1% of the peak would be broken.
         let peak = events
@@ -67,9 +70,15 @@ fn bursty_event_query_has_high_precision_and_recall() {
     let mut clear_total = 0usize;
     for &d in &days {
         let t = Timestamp(d * 86_400);
-        let (hits, _) =
-            det.bursty_events_with(t, theta as f64, tau, QueryStrategy::Pruned).unwrap();
-        for h in &hits {
+        let events = QueryRequest::BurstyEvents {
+            t,
+            theta: theta as f64,
+            tau,
+            strategy: QueryStrategy::Pruned,
+        };
+        let answer = det.query(&events).unwrap();
+        let hits = answer.hits().unwrap();
+        for h in hits {
             reported_total += 1;
             if baseline.point_query(h.event, t, tau) >= theta / 2 {
                 soft_correct += 1;
@@ -91,8 +100,10 @@ fn bursty_event_query_has_high_precision_and_recall() {
     // The strict metrics still get computed (they drive fig12); just assert
     // they are non-degenerate here.
     let t = Timestamp(21 * 86_400);
-    let (hits, _) = det.bursty_events_with(t, theta as f64, tau, QueryStrategy::Pruned).unwrap();
-    let reported: Vec<_> = hits.iter().map(|h| h.event).collect();
+    let events =
+        QueryRequest::BurstyEvents { t, theta: theta as f64, tau, strategy: QueryStrategy::Pruned };
+    let reported: Vec<_> =
+        det.query(&events).unwrap().hits().unwrap().iter().map(|h| h.event).collect();
     let pr = truth::precision_recall(&baseline, &reported, t, theta, tau);
     assert!(pr.precision > 0.5 && pr.recall > 0.5, "{pr:?}");
 }
@@ -103,10 +114,12 @@ fn bursty_times_recover_known_burst_windows() {
     let tau = BurstSpan::DAY_SECONDS;
     let horizon = Timestamp(olympics::OLYMPICS_HORIZON_SECS);
     let theta = 1_000.0;
-    let times = det.bursty_times(data.soccer, theta, tau, horizon);
+    let times = QueryRequest::BurstyTimes { event: data.soccer, theta, tau, horizon };
+    let times = det.query(&times).unwrap();
+    let times = times.samples().unwrap();
     assert!(!times.is_empty(), "soccer has strong bursts at this θ");
     // every reported instant must be genuinely bursty (within sketch error)
-    for &(t, est) in &times {
+    for &(t, est) in times {
         let truth = baseline.point_query(data.soccer, t, tau) as f64;
         assert!(
             truth >= theta * 0.3,
@@ -126,14 +139,14 @@ fn detector_is_reproducible_and_seed_sensitive() {
     let (b, _, _) = build(PbeVariant::pbe2(8.0), 42);
     let (c, _, _) = build(PbeVariant::pbe2(8.0), 43);
     let tau = BurstSpan::DAY_SECONDS;
-    let t = Timestamp(12 * 86_400);
-    assert_eq!(a.point_query(data.soccer, t, tau), b.point_query(data.soccer, t, tau));
+    let soccer = QueryRequest::Point { event: data.soccer, t: Timestamp(12 * 86_400), tau };
+    assert_eq!(a.query(&soccer).unwrap(), b.query(&soccer).unwrap());
     // different hash seeds land events in different cells; estimates for a
     // minor event will almost surely differ
-    let minor = bed::EventId(500);
     let differs = (0..10u64).any(|d| {
-        let t = Timestamp(d * 86_400 + 1);
-        a.point_query(minor, t, tau) != c.point_query(minor, t, tau)
+        let minor =
+            QueryRequest::Point { event: bed::EventId(500), t: Timestamp(d * 86_400 + 1), tau };
+        a.query(&minor).unwrap().burstiness() != c.query(&minor).unwrap().burstiness()
     });
     assert!(differs, "seed change had no observable effect");
 }

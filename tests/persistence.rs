@@ -5,7 +5,7 @@
 use bed::pbe::{burstiness, CurveSketch, ExactCurve, Pbe1, Pbe1Config, Pbe2, Pbe2Config};
 use bed::sketch::{CmPbe, SketchParams};
 use bed::stream::{Codec, CodecError};
-use bed::{BurstDetector, BurstSpan, EventId, PbeVariant, Timestamp};
+use bed::{BurstDetector, BurstQueries, BurstSpan, EventId, PbeVariant, QueryRequest, Timestamp};
 
 fn spiky(n: u64) -> Vec<u64> {
     let mut ts: Vec<u64> = (0..n).map(|i| i * 3 + (i % 7)).collect();
@@ -135,20 +135,26 @@ fn detector_roundtrip_all_backends() {
         let decoded = BurstDetector::from_bytes(&bytes).unwrap();
         assert_eq!(det.arrivals(), decoded.arrivals());
         assert_eq!(det.size_bytes(), decoded.size_bytes());
+        // A single-event detector's one stream is event 0.
+        let events: &[u32] = if single { &[0] } else { &[0, 7, 31] };
         for t in (0..2_100u64).step_by(111) {
-            for e in [0u32, 7, 31] {
+            for &e in events {
+                let point = QueryRequest::Point { event: EventId(e), t: Timestamp(t), tau };
                 assert_eq!(
-                    det.point_query(EventId(e), Timestamp(t), tau),
-                    decoded.point_query(EventId(e), Timestamp(t), tau),
+                    det.query(&point).unwrap(),
+                    decoded.query(&point).unwrap(),
                     "t={t} e={e}"
                 );
             }
         }
         if !single {
-            let strat = bed::QueryStrategy::Pruned;
-            let (h1, _) = det.bursty_events_with(Timestamp(1_999), 10.0, tau, strat).unwrap();
-            let (h2, _) = decoded.bursty_events_with(Timestamp(1_999), 10.0, tau, strat).unwrap();
-            assert_eq!(h1, h2);
+            let events = QueryRequest::BurstyEvents {
+                t: Timestamp(1_999),
+                theta: 10.0,
+                tau,
+                strategy: bed::QueryStrategy::Pruned,
+            };
+            assert_eq!(det.query(&events).unwrap().hits(), decoded.query(&events).unwrap().hits());
         }
     }
 }

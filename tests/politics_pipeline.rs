@@ -31,11 +31,13 @@ fn national_moments_dominate_their_party() {
     let tau = BurstSpan::DAY_SECONDS;
     // RNC day (48): total Republican burstiness among bursty events should
     // dwarf the Democrat total at the same instant.
+    let events =
+        |t| QueryRequest::BurstyEvents { t, theta: 20.0, tau, strategy: QueryStrategy::Pruned };
     let t = Timestamp(48 * 86_400 + 43_200);
-    let (hits, _) = det.bursty_events_with(t, 20.0, tau, QueryStrategy::Pruned).unwrap();
+    let answer = det.query(&events(t)).unwrap();
     let mut dem = 0.0;
     let mut rep = 0.0;
-    for h in &hits {
+    for h in answer.hits().unwrap() {
         match data.party_of(h.event) {
             Party::Democrat => dem += h.burstiness,
             Party::Republican => rep += h.burstiness,
@@ -44,11 +46,10 @@ fn national_moments_dominate_their_party() {
     assert!(rep > dem * 2.0, "RNC day: rep={rep} dem={dem}");
 
     // DNC day (55): the reverse.
-    let t = Timestamp(55 * 86_400 + 43_200);
-    let (hits, _) = det.bursty_events_with(t, 20.0, tau, QueryStrategy::Pruned).unwrap();
+    let answer = det.query(&events(Timestamp(55 * 86_400 + 43_200))).unwrap();
     let mut dem = 0.0;
     let mut rep = 0.0;
-    for h in &hits {
+    for h in answer.hits().unwrap() {
         match data.party_of(h.event) {
             Party::Democrat => dem += h.burstiness,
             Party::Republican => rep += h.burstiness,
@@ -69,7 +70,9 @@ fn series_api_recovers_the_campaign_shape() {
         start: Timestamp(86_400),
         end: Timestamp(politics::POLITICS_HORIZON_SECS - 1),
     };
-    let series = det.burstiness_series(bed::EventId(0), tau, range, 86_400);
+    let series = QueryRequest::Series { event: bed::EventId(0), tau, range, step: 86_400 };
+    let series = det.query(&series).unwrap();
+    let series = series.samples().unwrap();
     let max = series.iter().map(|&(_, b)| b).fold(f64::MIN, f64::max);
     let quiet_days = series.iter().filter(|&&(_, b)| b.abs() < max / 50.0).count();
     assert!(max > 100.0, "no spike found (max {max})");

@@ -3,7 +3,7 @@
 use bed::pbe::CurveSketch;
 use bed::stream::curve::FrequencyCurve;
 use bed::stream::SingleEventStream;
-use bed::{BurstDetector, BurstSpan, EventId, PbeVariant, Timestamp};
+use bed::{BurstDetector, BurstQueries, BurstSpan, EventId, PbeVariant, QueryRequest, Timestamp};
 
 /// A spiky test stream with three bursts of increasing size.
 fn spiky_stream() -> Vec<u64> {
@@ -43,9 +43,10 @@ fn both_variants_follow_the_exact_curve() {
         }
         det.finalize();
         // the three bursts must rank correctly by estimated burstiness
-        let b1 = det.point_query(EventId(0), Timestamp(2_199), tau);
-        let b2 = det.point_query(EventId(0), Timestamp(5_199), tau);
-        let b3 = det.point_query(EventId(0), Timestamp(8_199), tau);
+        let [b1, b2, b3] = [2_199u64, 5_199, 8_199].map(|t| {
+            let point = QueryRequest::Point { event: EventId(0), t: Timestamp(t), tau };
+            det.query(&point).unwrap().burstiness().unwrap()
+        });
         assert!(b1 < b2 && b2 < b3, "{variant:?}: {b1} {b2} {b3}");
         // and be close to the truth at each peak
         for (t, est) in [(2_199u64, b1), (5_199, b2), (8_199, b3)] {
@@ -78,9 +79,10 @@ fn facade_matches_raw_pbe() {
     raw.finalize();
     let tau = BurstSpan::new(500).unwrap();
     for t in (0..10_000u64).step_by(321) {
+        let point = QueryRequest::Point { event: EventId(0), t: Timestamp(t), tau };
         assert_eq!(
-            det.point_query(EventId(0), Timestamp(t), tau),
-            raw.estimate_burstiness(Timestamp(t), tau),
+            det.query(&point).unwrap().burstiness(),
+            Some(raw.estimate_burstiness(Timestamp(t), tau)),
             "t={t}"
         );
     }
@@ -97,7 +99,14 @@ fn bursty_times_cover_all_three_bursts() {
     }
     det.finalize();
     let tau = BurstSpan::new(300).unwrap();
-    let times = det.bursty_times(EventId(0), 500.0, tau, Timestamp(10_000));
+    let times = QueryRequest::BurstyTimes {
+        event: EventId(0),
+        theta: 500.0,
+        tau,
+        horizon: Timestamp(10_000),
+    };
+    let times = det.query(&times).unwrap();
+    let times = times.samples().unwrap();
     for window in [2_000u64, 5_000, 8_000] {
         assert!(
             times.iter().any(|&(t, _)| (window..window + 600).contains(&t.ticks())),
