@@ -92,9 +92,9 @@ use std::time::{Duration, Instant};
 
 use bed_core::{
     check_batch, AnyDetector, BurstQueries as _, BurstSpan, CheckpointPolicy, DetectorEpochs,
-    EpochPublisher, EpochReader, EventId, MetricValue, MetricsSnapshot, Profiler, QueryRequest,
-    QueryResponse, QueryScratch, QueryStrategy, SnapshotCell, TimeRange, Timestamp, TraceId,
-    Traceable as _, Tracer, TracerConfig, Watermark,
+    EpochPublisher, EventId, MetricValue, MetricsSnapshot, Profiler, QueryRequest, QueryResponse,
+    QueryScratch, QueryStrategy, SnapshotCell, TimeRange, Timestamp, TraceId, Traceable as _,
+    Tracer, TracerConfig, Watermark,
 };
 use bed_obs::Counter;
 
@@ -230,10 +230,8 @@ impl ServeCtx {
     /// The detector's last published metrics merged with the epoch
     /// publisher's: what the profiler samples and `/metrics` starts from.
     fn stage_metrics(&self) -> MetricsSnapshot {
-        let mut reader = EpochReader::new();
-        reader.refresh(&self.det_metrics);
         let epochs = self.epochs.metrics();
-        match reader.current() {
+        match self.det_metrics.load() {
             Some(det) => det.data.merge(&epochs),
             None => epochs,
         }

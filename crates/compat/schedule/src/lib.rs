@@ -3,7 +3,7 @@
 //!
 //! Real model checkers (loom, shuttle) intercept every atomic operation
 //! and explore thread interleavings. This workspace cannot vendor them,
-//! but the protocols under test here (the `bed-core` epoch seqlock) have
+//! but the protocols under test here (the `bed-core` epoch cell) have
 //! a much smaller state space: a **single writer** whose only action is
 //! "publish the next generation", and a reader whose protocol exposes
 //! explicit yield points. Every observable interleaving is then fully
@@ -120,7 +120,7 @@ impl Iterator for Exhaustive {
 /// the soak companion to [`exhaustive`] for spaces too large to
 /// enumerate. The distribution is biased toward 0 actions per step so
 /// generated runs look like real executions (publishes racing a read are
-/// rare) while still covering multi-publish laps.
+/// rare) while still covering several publishes at one yield point.
 #[derive(Debug, Clone)]
 pub struct ScheduleGen {
     state: u64,

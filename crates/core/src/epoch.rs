@@ -1,24 +1,25 @@
-//! Epoch-snapshot publishing: wait-free concurrent reads against a live
+//! Epoch-snapshot publishing: concurrent reads that never wait on a live
 //! ingest.
 //!
 //! The detectors are single-writer structures — every query method takes
 //! `&self` but answers from state a concurrent `ingest` would be mutating,
 //! so a serving front-end previously had to route *both* sides through one
 //! `Mutex`, stalling queries behind ingest and vice versa. This module
-//! decouples them with a seqlock/RCU-style generation scheme:
+//! decouples them with an RCU-style generation scheme:
 //!
 //! * A writer periodically **publishes** an immutable, finalized clone of
 //!   its detector into a [`SnapshotCell`], at a cadence borrowed from the
 //!   checkpoint machinery ([`EpochPublisher`] wraps a
-//!   [`CheckpointPolicy`]). Publishing clones the detector *outside* any
-//!   reader-visible critical section, bumps the cell's generation counter
-//!   with `Release` ordering, and never waits for readers.
+//!   [`CheckpointPolicy`]). Publishing builds the clone *outside* any
+//!   lock, then swaps it into the cell's one slot and bumps the generation
+//!   counter with `Release` ordering; it waits on readers at most for the
+//!   `Arc` clone one of them may be making under the slot lock.
 //! * A reader holds an [`EpochReader`] caching the last loaded epoch. Its
 //!   hot path is one `Acquire` load of the generation counter: if nothing
 //!   new was published, the cached [`Epoch`] answers — **zero locks, zero
-//!   allocation**. Only when the generation moved does the reader copy the
-//!   new epoch handle (an `Arc` clone — still allocation-free) out of a
-//!   slot ring.
+//!   allocation**. Only when the generation moved does the reader lock the
+//!   slot once and copy the epoch handle (an `Arc` clone — still
+//!   allocation-free) out of it.
 //! * [`DetectorEpochs`] owns **one cell per layout**: each generation holds
 //!   a finalized clone of every shard (one clone for the plain layout), so
 //!   a generation is complete the moment it is visible. [`EpochView`]
@@ -26,25 +27,29 @@
 //!   all five canonical query kinds from the latest published epoch while
 //!   ingest continues.
 //!
-//! ## Why readers never block ingest (and effectively never wait)
+//! ## One slot: the newest generation, and nothing older
 //!
-//! The cell keeps a ring of [`EPOCH_SLOTS`] mutex-guarded slots; the
-//! writer stores generation `g` into slot `g % EPOCH_SLOTS` *before* the
-//! `Release` store of `g`. A reader that observed generation `g` via the
-//! `Acquire` load therefore finds slot `g % EPOCH_SLOTS` fully written
-//! (release/acquire ordering), and the writer publishing `g + 1` locks a
-//! *different* slot. Before it builds generation `g + EPOCH_SLOTS`, the
-//! writer empties that slot, freeing generation `g` (so a publish never
-//! holds `EPOCH_SLOTS` retained generations beside the one it builds). A
-//! reader is therefore lapped after `EPOCH_SLOTS − 1` newer generations,
-//! as soon as the writer begins the next one: the slot's embedded
-//! generation no longer matches, and the reader retries against the
-//! newest generation (counted in `epoch.reader_retries`) — the classic
-//! seqlock validate-and-retry, built from `Mutex` slots instead of raw
-//! pointer flips because `bed-core` forbids `unsafe`. The writer never
-//! blocks either way: it holds a slot lock only to take or store an
-//! `Arc`, never while it builds, and no reader parks on a slot unless it
-//! is already lapped.
+//! The cell is one mutex-guarded `Option<Epoch>` plus the generation
+//! counter (RCU by `Arc` swap, built from a `Mutex` because `bed-core`
+//! forbids `unsafe`). A publish runs `build` with no lock held, then locks
+//! the slot, swaps the new epoch in, `Release`-stores its generation, and
+//! unlocks. The generation is stored inside the critical section, so a
+//! reader that `Acquire`-loads `g` and then locks the slot finds
+//! generation `g` or a newer one there — never an older one, and never a
+//! half-written one. A reader therefore always gets the newest
+//! generation: it cannot be lapped and never retries, and it waits at
+//! most for one pointer swap.
+//!
+//! Memory follows from the swap. While `build` runs, the published
+//! generation and the one being built are alive; once `publish` returns,
+//! only the new one is, unless a reader still holds the one it retired.
+//! The retired epoch is dropped after the unlock, so the thread that frees
+//! it is the publishing (ingest) thread when no reader holds it, and
+//! otherwise the reader that drops the last handle — in `bed serve`, the
+//! worker whose request overlapped the swap, since each request builds and
+//! drops its own [`EpochView`]. A `build` that panics unwinds before the
+//! lock is taken, so the published epoch stays in place and keeps
+//! answering.
 //!
 //! Bit-for-bit answer stability: ingest is deterministic and `Clone` is a
 //! deep copy, so a published epoch at watermark `A` is byte-identical to a
@@ -66,11 +71,6 @@ use crate::error::BedError;
 use crate::metrics::{gauge, EpochMetrics};
 use crate::query::{BurstQueries, QueryRequest, QueryResponse};
 use crate::shard::dispatch;
-
-/// Slots in a [`SnapshotCell`]'s ring. A reader only retries once the
-/// writer publishes `EPOCH_SLOTS − 1` generations past the one it chases
-/// and begins the next, inside one (tiny) read-side critical section.
-pub const EPOCH_SLOTS: usize = 4;
 
 /// One published snapshot: an immutable, finalized detector state plus
 /// the stream position it captures.
@@ -97,13 +97,6 @@ impl<D> Clone for Epoch<D> {
     }
 }
 
-#[derive(Debug)]
-struct Slot<D> {
-    /// Generation whose epoch this slot currently holds (0 = empty).
-    generation: u64,
-    epoch: Option<Epoch<D>>,
-}
-
 /// A single-writer, many-reader publication point for [`Epoch`]s.
 ///
 /// See the [module docs](crate::epoch) for the protocol and its ordering
@@ -112,24 +105,17 @@ struct Slot<D> {
 /// [`DetectorEpochs`], which publishes every shard in one cell.
 #[derive(Debug)]
 pub struct SnapshotCell<D> {
-    /// Latest published generation; the `Release` store here is what makes
-    /// a fully written slot visible to `Acquire` readers.
+    /// Latest published generation. It is `Release`-stored while the slot
+    /// lock is held, after the slot took that generation's epoch, so an
+    /// `Acquire` reader that then locks the slot finds it or a newer one.
     generation: AtomicU64,
-    slots: [Mutex<Slot<D>>; EPOCH_SLOTS],
-    /// Reader retries caused by the writer lapping a slot (seqlock
-    /// validate failure). Relaxed: a diagnostic counter, not an ordering
-    /// participant.
-    retries: AtomicU64,
+    slot: Mutex<Option<Epoch<D>>>,
 }
 
 impl<D> SnapshotCell<D> {
     /// An empty cell (generation 0, no epoch).
     pub fn new() -> Self {
-        SnapshotCell {
-            generation: AtomicU64::new(0),
-            slots: std::array::from_fn(|_| Mutex::new(Slot { generation: 0, epoch: None })),
-            retries: AtomicU64::new(0),
-        }
+        SnapshotCell { generation: AtomicU64::new(0), slot: Mutex::new(None) }
     }
 
     /// The latest published generation (0 until the first publish).
@@ -142,28 +128,24 @@ impl<D> SnapshotCell<D> {
     /// publisher is `&mut`-gated); readers are never blocked and never see
     /// a half-written epoch.
     ///
-    /// The slot the new generation will take is emptied *before* `build`
-    /// runs, so the oldest retained generation is freed (unless a reader
-    /// still caches it) before its successor is allocated.
+    /// `build` runs before the slot is locked, so a panic in it leaves the
+    /// published epoch and generation untouched. The retired epoch is
+    /// dropped after the unlock: here if no reader still holds it.
     pub fn publish(&self, watermark: Watermark, build: impl FnOnce() -> D) -> u64 {
         let next = self.generation.load(Ordering::Relaxed) + 1;
-        let slot = &self.slots[next as usize % EPOCH_SLOTS];
-        let retired = {
-            let mut slot = slot.lock().expect("slot lock");
-            slot.generation = 0;
-            slot.epoch.take()
-        };
-        drop(retired);
         let data = Arc::new(build());
-        *slot.lock().expect("slot lock") =
-            Slot { generation: next, epoch: Some(Epoch { generation: next, watermark, data }) };
+        let mut slot = self.slot.lock().expect("epoch slot lock poisoned");
+        let retired = slot.replace(Epoch { generation: next, watermark, data });
         self.generation.store(next, Ordering::Release);
+        drop(slot);
+        drop(retired);
         next
     }
 
-    /// Cumulative reader retries on this cell (writer lapped a slot).
-    pub fn reader_retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+    /// The latest published epoch (`None` before the first publish): one
+    /// lock and one `Arc` clone.
+    pub fn load(&self) -> Option<Epoch<D>> {
+        self.slot.lock().expect("epoch slot lock poisoned").clone()
     }
 }
 
@@ -173,24 +155,16 @@ impl<D> Default for SnapshotCell<D> {
     }
 }
 
-/// A protocol step of [`EpochReader::refresh_with`], exposed so a
-/// deterministic scheduler (the `schedule` compat crate) can interleave
-/// publishes at every read-side yield point.
-#[doc(hidden)]
+/// A protocol step of [`EpochReader::refresh_with`], the yield points a
+/// deterministic scheduler (the `schedule` compat crate) interleaves
+/// publishes at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadStep {
+enum ReadStep {
     /// About to `Acquire`-load the published generation counter.
     LoadGeneration,
-    /// About to lock the slot holding generation `.0`.
+    /// Loaded generation `.0` (newer than the cached one); about to lock
+    /// the slot.
     LockSlot(u64),
-    /// Locked the slot expecting `expected` but found `found` (the writer
-    /// lapped); the reader will retry.
-    Validate {
-        /// Generation the reader was chasing.
-        expected: u64,
-        /// Generation actually resident in the slot.
-        found: u64,
-    },
 }
 
 /// Read-side cursor over one [`SnapshotCell`]: caches the last loaded
@@ -210,45 +184,27 @@ impl<D> EpochReader<D> {
     /// Loads the latest epoch from `cell` if it moved; returns whether the
     /// cached epoch changed. Fast path (unchanged generation) is a single
     /// `Acquire` load — no lock, no allocation. The slow path is also
-    /// allocation-free: it copies an `Arc` handle out of a locked slot.
+    /// allocation-free: one lock and one `Arc` clone ([`SnapshotCell::load`]).
     #[inline]
     pub fn refresh(&mut self, cell: &SnapshotCell<D>) -> bool {
         self.refresh_with(cell, &mut |_| {})
     }
 
     /// [`Self::refresh`] with a hook invoked before every protocol step —
-    /// the seam the schedule-permuter tests drive to force (and count)
-    /// the seqlock retry path deterministically. `refresh` is this with a
+    /// the seam the schedule-permuter tests drive. `refresh` is this with a
     /// no-op hook, so the tested protocol *is* the production protocol.
-    #[doc(hidden)]
-    pub fn refresh_with(
-        &mut self,
-        cell: &SnapshotCell<D>,
-        hook: &mut impl FnMut(ReadStep),
-    ) -> bool {
+    fn refresh_with(&mut self, cell: &SnapshotCell<D>, hook: &mut impl FnMut(ReadStep)) -> bool {
         hook(ReadStep::LoadGeneration);
-        let mut g = cell.generation.load(Ordering::Acquire);
+        let g = cell.generation.load(Ordering::Acquire);
         if g == self.generation {
             return false;
         }
-        loop {
-            hook(ReadStep::LockSlot(g));
-            let found = {
-                let slot = cell.slots[g as usize % EPOCH_SLOTS].lock().expect("slot lock");
-                if slot.generation == g {
-                    // Cloning an `Epoch` clones an `Arc` + copies two
-                    // words — the read path never allocates.
-                    self.epoch.clone_from(&slot.epoch);
-                    self.generation = g;
-                    return true;
-                }
-                slot.generation
-            };
-            hook(ReadStep::Validate { expected: g, found });
-            cell.retries.fetch_add(1, Ordering::Relaxed);
-            hook(ReadStep::LoadGeneration);
-            g = cell.generation.load(Ordering::Acquire);
-        }
+        hook(ReadStep::LockSlot(g));
+        // Assigned after `load` unlocks, so a previously cached epoch this
+        // reader was the last to hold is freed outside the slot lock.
+        self.epoch = cell.load();
+        self.generation = self.epoch.as_ref().map_or(0, |e| e.generation);
+        true
     }
 
     /// The cached epoch (`None` until the first refresh of a published
@@ -342,21 +298,13 @@ impl DetectorEpochs {
         self.cell.generation()
     }
 
-    /// The latest published epoch (`None` before genesis), read through a
-    /// throwaway cursor.
-    fn latest(&self) -> Option<Epoch<Vec<BurstDetector>>> {
-        let mut r = EpochReader::new();
-        r.refresh(&self.cell);
-        r.epoch
-    }
-
     /// The ingest-side staleness gauges against the live detector's
     /// watermark: `epoch.age_ticks` (ticks the live stream has advanced
     /// past the published epoch) and `epoch.lag_arrivals` (arrivals not
     /// yet visible to readers). Cold path — merge it into a scrape next to
     /// [`Self::metrics`]. Before genesis only the lag is defined.
     pub fn staleness(&self, live: Watermark) -> MetricsSnapshot {
-        let Some(published) = self.latest().map(|e| e.watermark) else {
+        let Some(published) = self.cell.load().map(|e| e.watermark) else {
             return MetricsSnapshot::from_entries([gauge(
                 "epoch.lag_arrivals",
                 live.arrivals as f64,
@@ -378,7 +326,7 @@ impl DetectorEpochs {
     /// through the vectorized kernels, and operators can see the mirror's
     /// memory cost here.
     pub fn bank_bytes(&self) -> usize {
-        self.latest().map_or(0, |e| e.data.iter().map(BurstDetector::soa_bank_bytes).sum())
+        self.cell.load().map_or(0, |e| e.data.iter().map(BurstDetector::soa_bank_bytes).sum())
     }
 
     /// The configuration the published detectors were built with.
@@ -387,9 +335,10 @@ impl DetectorEpochs {
     }
 
     /// A fresh query view over the latest published epoch. Views are
-    /// cheap (one cursor, `EPOCH_SLOTS`-independent) and intended to be
-    /// per-thread: each owns its [`QueryScratch`], preserving the
-    /// zero-allocation kernel guarantees per reader.
+    /// cheap (one cursor) and intended to be per-thread: each owns its
+    /// [`QueryScratch`], preserving the zero-allocation kernel guarantees
+    /// per reader. A view's cursor keeps the generation it last answered
+    /// from alive until the view is dropped.
     pub fn view(&self) -> EpochView<'_> {
         EpochView {
             epochs: self,
@@ -399,12 +348,11 @@ impl DetectorEpochs {
         }
     }
 
-    /// Snapshot of `epoch.*` metrics — the `epoch.published` /
-    /// `epoch.reader_retries` counters, publish latency, and an
-    /// `epoch.generation` gauge — plus the `query.*` counts and latencies
-    /// of every query the views answered.
+    /// Snapshot of `epoch.*` metrics — the `epoch.published` counter,
+    /// publish latency, and an `epoch.generation` gauge — plus the
+    /// `query.*` counts and latencies of every query the views answered.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot(self.cell.reader_retries(), self.generation())
+        self.metrics.snapshot(self.generation())
     }
 }
 
@@ -542,6 +490,7 @@ mod tests {
     use crate::config::PbeVariant;
     use bed_stream::{BurstSpan, EventId, Timestamp};
     use schedule::{exhaustive, Schedule, ScheduleGen};
+    use std::sync::atomic::AtomicUsize;
 
     fn plain() -> AnyDetector {
         AnyDetector::Plain(Box::new(
@@ -654,13 +603,12 @@ mod tests {
     }
 
     #[test]
-    fn epoch_metrics_surface_published_and_retries() {
+    fn epoch_metrics_surface_published_and_generation() {
         let det = plain();
         let epochs = DetectorEpochs::new(&det);
         epochs.publish(&det);
         let snap = epochs.metrics();
         assert_eq!(snap.get("epoch.published"), Some(&bed_obs::MetricValue::Counter(2)));
-        assert_eq!(snap.get("epoch.reader_retries"), Some(&bed_obs::MetricValue::Counter(0)));
         assert!(
             matches!(snap.get("epoch.generation"), Some(bed_obs::MetricValue::Gauge(g)) if *g == 2.0)
         );
@@ -693,89 +641,139 @@ mod tests {
         assert_eq!(epochs.metrics().gauge("epoch.lag_arrivals"), None);
     }
 
-    #[test]
-    fn publish_frees_the_slot_it_takes_before_building() {
-        let cell = SnapshotCell::new();
-        let wm = Watermark::default();
-        cell.publish(wm, || 1u64);
-        let first = {
-            let mut reader = EpochReader::new();
-            reader.refresh(&cell);
-            Arc::downgrade(&reader.current().unwrap().data)
-        };
-        for g in 2..=EPOCH_SLOTS as u64 {
-            cell.publish(wm, || g);
+    /// A payload that counts how many of its kind are alive.
+    #[derive(Debug)]
+    struct Alive(Arc<AtomicUsize>);
+
+    impl Alive {
+        fn new(count: &Arc<AtomicUsize>) -> Self {
+            count.fetch_add(1, Ordering::SeqCst);
+            Alive(Arc::clone(count))
         }
-        assert!(first.upgrade().is_some(), "generation 1 is still retained");
-        cell.publish(wm, || {
-            assert!(first.upgrade().is_none(), "generation 1 outlived the build of its successor");
-            EPOCH_SLOTS as u64 + 1
-        });
     }
 
-    // ---- schedule-permuter coverage of the seqlock protocol ----------
+    impl Drop for Alive {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn publish_holds_only_the_published_generation_and_the_one_being_built() {
+        let count = Arc::new(AtomicUsize::new(0));
+        let alive = || count.load(Ordering::SeqCst);
+        let cell = SnapshotCell::new();
+        let wm = Watermark::default();
+        cell.publish(wm, || Alive::new(&count));
+        assert_eq!(alive(), 1);
+        for g in 2..=6u64 {
+            cell.publish(wm, || {
+                let next = Alive::new(&count);
+                assert_eq!(alive(), 2, "generation {g}: more than its predecessor alive");
+                next
+            });
+            assert_eq!(alive(), 1, "generation {g}: its predecessor outlived the publish");
+        }
+        // A generation a reader still holds outlives the swap, and the
+        // reader's drop frees it.
+        let mut reader = EpochReader::new();
+        reader.refresh(&cell);
+        cell.publish(wm, || Alive::new(&count));
+        assert_eq!(alive(), 2, "the reader's generation was freed under it");
+        drop(reader);
+        assert_eq!(alive(), 1, "the reader's drop did not free its generation");
+    }
+
+    #[test]
+    fn a_panicking_build_keeps_the_published_epoch() {
+        let mut det = plain();
+        ingest_fixture(&mut det, 100);
+        let epochs = DetectorEpochs::new(&det);
+        let tau = BurstSpan::new(10).unwrap();
+        let req = QueryRequest::Point { event: EventId(2), t: Timestamp(99), tau };
+        let before = epochs.view().query(&req).unwrap();
+
+        let publish = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            epochs.cell.publish(Watermark::default(), || panic!("build failed"))
+        }));
+        assert!(publish.is_err(), "the build's panic reaches the publisher");
+        assert_eq!(epochs.generation(), 1);
+        let view = epochs.view();
+        assert_eq!(view.query(&req).unwrap(), before);
+        assert_eq!(view.answer_generation(), 1);
+        assert_eq!(view.answer_watermark(), det.watermark());
+    }
+
+    // ---- schedule-permuter coverage of the one-slot protocol ----------
+
+    /// The single writer: publishes `n` generations, each payload and
+    /// watermark encoding its own generation so a torn epoch shows.
+    fn publish_n(cell: &SnapshotCell<u64>, published: &mut u64, n: usize) {
+        for _ in 0..n {
+            *published += 1;
+            let wm = Watermark { arrivals: *published, last_ts: None };
+            assert_eq!(cell.publish(wm, || *published), *published);
+        }
+    }
 
     /// Drives one instrumented refresh under `schedule`, injecting
-    /// `schedule.next()` publishes at every protocol yield point. Returns
-    /// whether the retry path fired. `published` tracks the single
-    /// writer's count so payloads can encode their own generation.
+    /// `schedule.next()` publishes before it and at each of its yield
+    /// points, then checks the protocol invariants. Returns whether a
+    /// publish landed between the reader's generation load and its slot
+    /// lock.
     fn run_schedule(
         cell: &SnapshotCell<u64>,
         reader: &mut EpochReader<u64>,
         published: &mut u64,
         schedule: &mut Schedule,
     ) -> bool {
-        let retries_before = cell.reader_retries();
-        let publish_n = |n: usize, published: &mut u64| {
-            for _ in 0..n {
-                *published += 1;
-                let wm = Watermark { arrivals: *published, last_ts: None };
-                assert_eq!(cell.publish(wm, || *published), *published);
+        publish_n(cell, published, schedule.next());
+        let held = reader.current().map_or(0, |e| e.generation);
+        let completed = *published;
+        let mut loaded = None;
+        reader.refresh_with(cell, &mut |step| {
+            if let ReadStep::LockSlot(g) = step {
+                loaded = Some(g);
             }
-        };
-        publish_n(schedule.next(), published);
-        reader.refresh_with(cell, &mut |_step| {
-            publish_n(schedule.next(), published);
+            publish_n(cell, published, schedule.next());
         });
-        // Protocol invariants, checked after *every* interleaving:
-        // the loaded epoch is internally consistent (never torn) ...
+        let seen = reader.current().map_or(0, |e| e.generation);
         if let Some(epoch) = reader.current() {
             assert_eq!(*epoch.data, epoch.generation, "torn epoch payload");
             assert_eq!(epoch.watermark.arrivals, epoch.generation, "torn watermark");
-            assert!(epoch.generation <= *published, "read an unpublished generation");
-        } else {
-            assert_eq!(*published, 0, "published epochs must be visible");
         }
-        cell.reader_retries() > retries_before
+        assert!(seen <= *published, "read unpublished generation {seen}");
+        let newest_loaded = held.max(loaded.unwrap_or(0));
+        assert!(seen >= newest_loaded, "went back from generation {newest_loaded} to {seen}");
+        assert!(seen >= completed, "missed generation {completed}, published before the refresh");
+        loaded.is_some_and(|g| seen > g)
     }
 
     #[test]
-    fn exhaustive_small_schedules_cover_the_retry_path() {
-        // Yield points per refresh: LoadGeneration, then per loop
-        // iteration LockSlot (+ Validate, LoadGeneration on retry). Up to
-        // 5 injected publishes per step forces multi-lap retries
-        // (EPOCH_SLOTS = 4, so ≥4 publishes between load and lock lap the
-        // slot). 6^4 = 1296 schedules, exhaustively enumerated.
-        let mut retried = 0u32;
+    fn exhaustive_small_schedules_agree_with_the_invariants() {
+        // Yield points per refresh: one before it, LoadGeneration, and
+        // LockSlot when the generation moved; two refreshes per schedule,
+        // so cached-generation fast paths get interleaved publishes too.
+        // Up to 3 publishes per step: 4^6 = 4096 schedules, exhaustively
+        // enumerated.
+        let mut overtaken = 0u32;
         let mut total = 0u32;
-        for mut schedule in exhaustive(5, 4) {
+        for mut schedule in exhaustive(3, 6) {
             let cell = SnapshotCell::new();
             let mut reader = EpochReader::new();
             let mut published = 0u64;
-            // Refresh twice per schedule so cached-generation fast paths
-            // get interleaved publishes too.
             let a = run_schedule(&cell, &mut reader, &mut published, &mut schedule);
             let b = run_schedule(&cell, &mut reader, &mut published, &mut schedule);
-            retried += u32::from(a | b);
+            overtaken += u32::from(a | b);
             total += 1;
         }
-        assert_eq!(total, 6u32.pow(4));
-        assert!(retried > 0, "no schedule exercised the seqlock retry path");
+        assert_eq!(total, 4u32.pow(6));
+        assert!(overtaken > 0, "no schedule published between a load and its lock");
     }
 
     #[test]
     fn seeded_random_schedules_agree_with_the_invariants() {
-        let mut retried = false;
+        let mut overtaken = false;
         for seed in 0..64u64 {
             let mut gen = ScheduleGen::new(seed);
             let cell = SnapshotCell::new();
@@ -783,10 +781,10 @@ mod tests {
             let mut published = 0u64;
             for _ in 0..8 {
                 let mut schedule = gen.schedule(8, 6);
-                retried |= run_schedule(&cell, &mut reader, &mut published, &mut schedule);
+                overtaken |= run_schedule(&cell, &mut reader, &mut published, &mut schedule);
             }
         }
-        assert!(retried, "64 seeds × 8 refreshes never lapped a slot");
+        assert!(overtaken, "64 seeds × 8 refreshes never published between a load and its lock");
     }
 
     #[test]

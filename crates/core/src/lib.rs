@@ -79,8 +79,8 @@
 //!   (hierarchical mode)
 //! * `shard.batch.{count,elements,latency_ns}`, `shard.count`, and per-shard
 //!   `shard.<i>.{arrivals,bytes}` gauges on a [`ShardedDetector`]
-//! * `epoch.published` / `epoch.reader_retries` counters,
-//!   `epoch.publish.latency_ns`, and the `epoch.generation` gauge on a
+//! * the `epoch.published` counter, `epoch.publish.latency_ns`, and the
+//!   `epoch.generation` gauge on a
 //!   [`DetectorEpochs`], whose `staleness` adds the `epoch.age_ticks` and
 //!   `epoch.lag_arrivals` gauges against a live watermark
 //! * `checkpoint.{count,errors,bytes,latency_ns}` and
@@ -100,8 +100,8 @@
 //!
 //! The [`epoch`] module decouples queries from a live ingest: a writer
 //! publishes immutable epoch snapshots at a configurable cadence and any
-//! number of readers answer from the latest one wait-free — zero locks
-//! and zero allocation on the query hot path. See [`DetectorEpochs`] and
+//! number of readers answer from the latest one without waiting on ingest
+//! — zero locks and zero allocation on the query hot path. See [`DetectorEpochs`] and
 //! the protocol notes in the module docs.
 
 #![forbid(unsafe_code)]

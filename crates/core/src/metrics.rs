@@ -371,13 +371,11 @@ impl EpochMetrics {
         self.publish_latency.observe(elapsed);
     }
 
-    /// The publisher's families, with the two readings the epoch cell
-    /// owns: its cumulative `reader_retries` (kept there so the retry path
-    /// stays a single relaxed `fetch_add`) and the published `generation`.
-    pub(crate) fn snapshot(&self, reader_retries: u64, generation: u64) -> MetricsSnapshot {
+    /// The publisher's families, with the published `generation` the
+    /// epoch cell owns.
+    pub(crate) fn snapshot(&self, generation: u64) -> MetricsSnapshot {
         let mut entries = vec![
             counter("epoch.published", &self.published),
-            ("epoch.reader_retries".to_owned(), MetricValue::Counter(reader_retries)),
             histogram("epoch.publish.latency_ns", &self.publish_latency),
             gauge("epoch.generation", generation as f64),
         ];

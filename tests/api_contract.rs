@@ -886,15 +886,14 @@ fn warm_fused_kernels_do_not_allocate() {
 
 /// The `epoch.*` family names on the `/metrics` wire are golden — exact
 /// bytes for a deterministic snapshot, so dashboards can rely on
-/// `bed_epoch_published_total`, `bed_epoch_reader_retries_total`,
-/// `bed_epoch_publish_latency_ns_*`, and the `bed_epoch_generation` gauge.
+/// `bed_epoch_published_total`, `bed_epoch_publish_latency_ns_*`, and the
+/// `bed_epoch_generation` gauge.
 #[test]
 fn epoch_metrics_openmetrics_is_golden() {
     let h = Histogram::new();
     h.record_ns(100);
     let snap = MetricsSnapshot::from_entries([
         ("epoch.published".to_owned(), MetricValue::Counter(2)),
-        ("epoch.reader_retries".to_owned(), MetricValue::Counter(0)),
         ("epoch.generation".to_owned(), MetricValue::Gauge(2.0)),
         ("epoch.publish.latency_ns".to_owned(), MetricValue::Histogram(h.snapshot())),
     ]);
@@ -922,9 +921,6 @@ fn epoch_metrics_openmetrics_is_golden() {
         "# HELP bed_epoch_published epoch.published\n",
         "# TYPE bed_epoch_published counter\n",
         "bed_epoch_published_total 2\n",
-        "# HELP bed_epoch_reader_retries epoch.reader_retries\n",
-        "# TYPE bed_epoch_reader_retries counter\n",
-        "bed_epoch_reader_retries_total 0\n",
         "# EOF\n",
     );
     assert_eq!(snap.to_openmetrics(), golden);
@@ -937,7 +933,6 @@ fn epoch_metrics_openmetrics_is_golden() {
     epochs.publish(&det);
     let om = epochs.metrics().to_openmetrics();
     assert!(om.contains("bed_epoch_published_total 2\n"), "{om}");
-    assert!(om.contains("bed_epoch_reader_retries_total 0\n"), "{om}");
     assert!(om.contains("bed_epoch_generation 2\n"), "{om}");
     assert!(om.contains("# TYPE bed_epoch_publish_latency_ns histogram\n"), "{om}");
     assert!(om.contains("bed_epoch_publish_latency_ns_count 2\n"), "{om}");
@@ -1375,7 +1370,6 @@ structure.cmpbe.width gauge 544
 epoch.generation gauge 2
 epoch.publish.latency_ns histogram 2
 epoch.published counter 2
-epoch.reader_retries counter 0
 query.bursty_events.count counter 1
 query.bursty_events.latency_ns histogram 1
 query.bursty_times.count counter 1
@@ -1430,7 +1424,6 @@ structure.forest.pieces gauge 41
 epoch.generation gauge 2
 epoch.publish.latency_ns histogram 2
 epoch.published counter 2
-epoch.reader_retries counter 0
 query.bursty_events.count counter 1
 query.bursty_events.latency_ns histogram 1
 query.bursty_times.count counter 1
@@ -1474,7 +1467,6 @@ structure.pbe.pieces gauge 3
 epoch.generation gauge 2
 epoch.publish.latency_ns histogram 2
 epoch.published counter 2
-epoch.reader_retries counter 0
 query.bursty_events.count counter 1
 query.bursty_events.latency_ns histogram 1
 query.bursty_times.count counter 1
@@ -1548,7 +1540,6 @@ structure.forest.pieces gauge 348
 epoch.generation gauge 2
 epoch.publish.latency_ns histogram 2
 epoch.published counter 2
-epoch.reader_retries counter 0
 query.bursty_events.count counter 1
 query.bursty_events.latency_ns histogram 1
 query.bursty_times.count counter 1
@@ -1615,7 +1606,6 @@ structure.forest.pieces gauge 60
 epoch.generation gauge 2
 epoch.publish.latency_ns histogram 2
 epoch.published counter 2
-epoch.reader_retries counter 0
 query.bursty_events.count counter 1
 query.bursty_events.latency_ns histogram 1
 query.bursty_times.count counter 1
